@@ -2,8 +2,9 @@
  * @file
  * Substrate micro-benchmarks (google-benchmark): szo compression and
  * decompression throughput per content class, zsmalloc operations and
- * compaction, kstaled scan throughput, the far-memory model's replay
- * rate, and GP fit/predict cost.
+ * compaction, kstaled scan throughput, checkpoint substrates (CRC32,
+ * Serializer puts, PageTable save/load per page), the far-memory
+ * model's replay rate, and GP fit/predict cost.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,11 +12,13 @@
 #include <vector>
 
 #include "autotune/gp.h"
+#include "ckpt/checkpoint.h"
 #include "compression/compressor.h"
 #include "compression/page_content.h"
 #include "compression/szo.h"
 #include "mem/kstaled.h"
 #include "mem/memcg.h"
+#include "mem/page_table.h"
 #include "model/far_memory_model.h"
 #include "util/rng.h"
 #include "zsmalloc/zsmalloc.h"
@@ -180,6 +183,102 @@ BM_FarMemoryModelReplay(benchmark::State &state)
     state.SetLabel("job-windows/s");
 }
 BENCHMARK(BM_FarMemoryModelReplay);
+
+// ------------------------------------------------------- checkpoint
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(1 << 20);
+    Rng rng(6);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next_u64());
+    for (auto _ : state) {
+        std::uint32_t crc = crc32(buf.data(), buf.size());
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+void
+BM_SerializerPutU64(benchmark::State &state)
+{
+    constexpr std::uint64_t kValues = 1 << 16;
+    for (auto _ : state) {
+        Serializer s;
+        for (std::uint64_t v = 0; v < kValues; ++v)
+            s.put_u64(v * 0x9E3779B97F4A7C15ULL);
+        benchmark::DoNotOptimize(s.bytes().data());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kValues * 8));
+}
+BENCHMARK(BM_SerializerPutU64);
+
+/** A page table with every field populated, as after a long run. */
+PageTable
+checkpoint_page_table(std::uint32_t pages)
+{
+    PageTable table(pages);
+    Rng rng(8);
+    for (PageId p = 0; p < pages; ++p) {
+        table.set_age(p, static_cast<std::uint8_t>(rng.next_below(256)));
+        table.set_content(p, static_cast<ContentClass>(rng.next_below(
+                                 static_cast<std::uint64_t>(
+                                     ContentClass::kNumClasses))));
+        for (std::uint64_t v = rng.next_below(3); v > 0; --v)
+            table.bump_version(p);
+        if (rng.next_bool(0.3))
+            table.set(p, kPageAccessed);
+        if (rng.next_bool(0.1))
+            table.set(p, kPageInZswap);
+    }
+    return table;
+}
+
+/** Reports the iteration time per page (printed as e.g. "4.2ns"). */
+void
+set_time_per_page(benchmark::State &state, std::uint32_t pages)
+{
+    state.counters["per_page"] = benchmark::Counter(
+        static_cast<double>(pages),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+void
+BM_PageTableCkptSave(benchmark::State &state)
+{
+    auto pages = static_cast<std::uint32_t>(state.range(0));
+    PageTable table = checkpoint_page_table(pages);
+    for (auto _ : state) {
+        Serializer s;
+        table.ckpt_save(s);
+        benchmark::DoNotOptimize(s.bytes().data());
+    }
+    set_time_per_page(state, pages);
+}
+BENCHMARK(BM_PageTableCkptSave)->Arg(1 << 18);
+
+void
+BM_PageTableCkptLoad(benchmark::State &state)
+{
+    auto pages = static_cast<std::uint32_t>(state.range(0));
+    Serializer s;
+    checkpoint_page_table(pages).ckpt_save(s);
+    PageTable table;
+    for (auto _ : state) {
+        Deserializer d(s.bytes());
+        std::uint64_t flagged_zswap = 0;
+        std::uint64_t flagged_tier = 0;
+        bool ok = table.ckpt_load(d, flagged_zswap, flagged_tier);
+        benchmark::DoNotOptimize(ok);
+    }
+    set_time_per_page(state, pages);
+}
+BENCHMARK(BM_PageTableCkptLoad)->Arg(1 << 18);
 
 // --------------------------------------------------------------- GP
 

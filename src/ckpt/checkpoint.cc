@@ -4,28 +4,48 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 
+#include "util/invariant.h"
 #include "util/logging.h"
 
 namespace sdfm {
 
 namespace {
 
-/** Reflected CRC32 table for polynomial 0xEDB88320 (IEEE 802.3). */
-const std::array<std::uint32_t, 256> &
-crc_table()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320:
+ * tables[0] is the classic byte-at-a-time table, and tables[k][i] is
+ * the CRC of byte i followed by k zero bytes.
+ */
+constexpr CrcTables
+make_crc_tables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t
+load_le32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -57,11 +77,18 @@ to_string(CkptStatus status)
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
+    const CrcTables &t = kCrcTables;
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        c = crc_table()[static_cast<std::size_t>((c ^ data[i]) & 0xffu)] ^
-            (c >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        std::uint32_t lo = load_le32(data) ^ c;
+        std::uint32_t hi = load_le32(data + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
     }
+    for (; size > 0; ++data, --size)
+        c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -77,16 +104,20 @@ void
 Serializer::put_string(const std::string &s)
 {
     put_u64(s.size());
-    for (char ch : s)
-        put_u8(static_cast<std::uint8_t>(ch));
+    put_bytes(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
 }
 
 void
 Serializer::put_u64_vec(const std::vector<std::uint64_t> &v)
 {
     put_u64(v.size());
-    for (std::uint64_t x : v)
-        put_u64(x);
+    if constexpr (std::endian::native == std::endian::little) {
+        put_bytes(reinterpret_cast<const std::uint8_t *>(v.data()),
+                  v.size() * sizeof(std::uint64_t));
+    } else {
+        for (std::uint64_t x : v)
+            put_u64(x);
+    }
 }
 
 void
@@ -129,21 +160,23 @@ std::string
 Deserializer::get_string()
 {
     std::size_t len = get_size(remaining());
-    std::string s;
-    s.reserve(len);
-    for (std::size_t i = 0; i < len; ++i)
-        s.push_back(static_cast<char>(get_u8()));
-    return s;
+    std::span<const std::uint8_t> bytes = get_bytes(len);
+    return std::string(bytes.begin(), bytes.end());
 }
 
 std::vector<std::uint64_t>
 Deserializer::get_u64_vec()
 {
     std::size_t n = get_size(remaining() / 8, 8);
-    std::vector<std::uint64_t> v;
-    v.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v.push_back(get_u64());
+    std::vector<std::uint64_t> v(n);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::span<const std::uint8_t> bytes = get_bytes(n * 8);
+        if (!bytes.empty())
+            std::memcpy(v.data(), bytes.data(), bytes.size());
+    } else {
+        for (std::uint64_t &x : v)
+            x = get_u64();
+    }
     return v;
 }
 
@@ -191,11 +224,13 @@ Deserializer::get_age_histogram(AgeHistogram &h)
 std::size_t
 Deserializer::get_size(std::size_t max_elems, std::size_t min_bytes_per_elem)
 {
+    SDFM_ASSERT(min_bytes_per_elem > 0);
     std::uint64_t n = get_u64();
     if (!ok_)
         return 0;
-    if (n > max_elems ||
-        n * min_bytes_per_elem > remaining()) {
+    // Divide rather than multiply: n * min_bytes_per_elem can wrap on
+    // a corrupt count when max_elems is large.
+    if (n > max_elems || n > remaining() / min_bytes_per_elem) {
         ok_ = false;
         return 0;
     }
@@ -207,57 +242,83 @@ Deserializer::get_size(std::size_t max_elems, std::size_t min_bytes_per_elem)
 void
 CkptWriter::add_section(std::string name, std::vector<std::uint8_t> payload)
 {
-    for (const CkptSection &section : sections_)
+    std::uint32_t crc = crc32(payload.data(), payload.size());
+    add_section(std::move(name), std::move(payload), crc);
+}
+
+void
+CkptWriter::add_section(std::string name, std::vector<std::uint8_t> payload,
+                        std::uint32_t crc)
+{
+    for (const Section &section : sections_)
         SDFM_ASSERT(section.name != name);
-    sections_.push_back({std::move(name), std::move(payload)});
+    SDFM_INVARIANT(crc == crc32(payload.data(), payload.size()),
+                   "a precomputed section CRC matches its payload");
+    sections_.push_back({std::move(name), std::move(payload), crc});
+}
+
+template <typename Sink>
+void
+CkptWriter::emit(Sink &&sink) const
+{
+    std::vector<const Section *> ordered;
+    ordered.reserve(sections_.size());
+    for (const Section &section : sections_)
+        ordered.push_back(&section);
+    // Sections are written in ascending name order so the container
+    // bytes are independent of add_section() call order.
+    std::sort(ordered.begin(), ordered.end(),
+              [](const Section *a, const Section *b) {
+                  return a->name < b->name;
+              });
+
+    Serializer header;
+    header.put_u64(kCkptMagic);
+    header.put_u32(kCkptFormatVersion);
+    header.put_u32(static_cast<std::uint32_t>(ordered.size()));
+    sink(header.bytes().data(), header.bytes().size());
+    for (const Section *section : ordered) {
+        Serializer framing;
+        framing.put_u32(static_cast<std::uint32_t>(section->name.size()));
+        framing.put_bytes(
+            reinterpret_cast<const std::uint8_t *>(section->name.data()),
+            section->name.size());
+        framing.put_u64(section->payload.size());
+        sink(framing.bytes().data(), framing.bytes().size());
+        sink(section->payload.data(), section->payload.size());
+        Serializer crc;
+        crc.put_u32(section->crc);
+        sink(crc.bytes().data(), crc.bytes().size());
+    }
 }
 
 std::vector<std::uint8_t>
 CkptWriter::encode() const
 {
-    std::vector<const CkptSection *> ordered;
-    ordered.reserve(sections_.size());
-    for (const CkptSection &section : sections_)
-        ordered.push_back(&section);
-    // Sections are written in ascending name order so the container
-    // bytes are independent of add_section() call order.
-    std::sort(ordered.begin(), ordered.end(),
-              [](const CkptSection *a, const CkptSection *b) {
-                  return a->name < b->name;
-              });
-
     Serializer s;
-    s.put_u64(kCkptMagic);
-    s.put_u32(kCkptFormatVersion);
-    s.put_u32(static_cast<std::uint32_t>(ordered.size()));
-    for (const CkptSection *section : ordered) {
-        s.put_u32(static_cast<std::uint32_t>(section->name.size()));
-        for (char ch : section->name)
-            s.put_u8(static_cast<std::uint8_t>(ch));
-        s.put_u64(section->payload.size());
-        for (std::uint8_t byte : section->payload)
-            s.put_u8(byte);
-        s.put_u32(crc32(section->payload.data(), section->payload.size()));
-    }
+    emit([&s](const std::uint8_t *data, std::size_t size) {
+        s.put_bytes(data, size);
+    });
     return s.take();
 }
 
 CkptStatus
 CkptWriter::write_file(const std::string &path) const
 {
-    std::vector<std::uint8_t> bytes = encode();
     // Write-to-temp + rename so a crash mid-write never leaves a
     // half-written file at the destination path.
     std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr)
         return CkptStatus::kIoError;
-    std::size_t written = bytes.empty()
-                              ? 0
-                              : std::fwrite(bytes.data(), 1, bytes.size(), f);
+    bool written = true;
+    emit([&](const std::uint8_t *data, std::size_t size) {
+        if (written && size != 0)
+            written = std::fwrite(data, 1, size, f) == size;
+    });
     bool flushed = std::fflush(f) == 0;
     bool closed = std::fclose(f) == 0;
-    if (written != bytes.size() || !flushed || !closed) {
+    if (!written || !flushed || !closed) {
         std::remove(tmp.c_str());
         return CkptStatus::kIoError;
     }
@@ -273,6 +334,7 @@ CkptWriter::write_file(const std::string &path) const
 CkptStatus
 CkptReader::parse(std::vector<std::uint8_t> bytes)
 {
+    bytes_.clear();
     sections_.clear();
     Deserializer d(bytes);
     if (d.remaining() < 8)
@@ -287,39 +349,44 @@ CkptReader::parse(std::vector<std::uint8_t> bytes)
         return CkptStatus::kTruncated;
     std::uint32_t count = d.get_u32();
 
+    // Pass 1: framing only. Sections are recorded as views into
+    // `bytes`, whose heap buffer moves into bytes_ unchanged.
     std::vector<CkptSection> sections;
+    std::vector<std::uint32_t> stored_crcs;
     for (std::uint32_t i = 0; i < count; ++i) {
         if (d.remaining() < 4)
             return CkptStatus::kTruncated;
         std::uint32_t name_len = d.get_u32();
         if (name_len > d.remaining())
             return CkptStatus::kTruncated;
-        std::string name;
-        name.reserve(name_len);
-        for (std::uint32_t c = 0; c < name_len; ++c)
-            name.push_back(static_cast<char>(d.get_u8()));
+        std::span<const std::uint8_t> name_bytes = d.get_bytes(name_len);
+        std::string name(name_bytes.begin(), name_bytes.end());
         if (d.remaining() < 8)
             return CkptStatus::kTruncated;
         std::uint64_t payload_len = d.get_u64();
         if (payload_len > d.remaining())
             return CkptStatus::kTruncated;
-        std::vector<std::uint8_t> payload;
-        payload.reserve(static_cast<std::size_t>(payload_len));
-        for (std::uint64_t b = 0; b < payload_len; ++b)
-            payload.push_back(d.get_u8());
+        std::span<const std::uint8_t> payload =
+            d.get_bytes(static_cast<std::size_t>(payload_len));
         if (d.remaining() < 4)
             return CkptStatus::kTruncated;
-        std::uint32_t stored_crc = d.get_u32();
-        if (crc32(payload.data(), payload.size()) != stored_crc)
-            return CkptStatus::kCrcMismatch;
+        stored_crcs.push_back(d.get_u32());
         // Ascending unique names are part of the format.
         if (!sections.empty() && sections.back().name >= name)
             return CkptStatus::kCorruptPayload;
-        sections.push_back({std::move(name), std::move(payload)});
+        sections.push_back({std::move(name), payload});
     }
     if (!d.at_end())
         return CkptStatus::kCorruptPayload;
     SDFM_ASSERT(d.ok());
+
+    // Pass 2: every payload CRC, before any section is exposed.
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        std::span<const std::uint8_t> payload = sections[i].payload;
+        if (crc32(payload.data(), payload.size()) != stored_crcs[i])
+            return CkptStatus::kCrcMismatch;
+    }
+    bytes_ = std::move(bytes);
     sections_ = std::move(sections);
     return CkptStatus::kOk;
 }
@@ -330,30 +397,37 @@ CkptReader::read_file(const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
         return CkptStatus::kIoError;
-    std::vector<std::uint8_t> bytes;
-    std::array<std::uint8_t, 64 * 1024> chunk;
-    for (;;) {
-        std::size_t got = std::fread(chunk.data(), 1, chunk.size(), f);
-        bytes.insert(bytes.end(), chunk.begin(),
-                     chunk.begin() + static_cast<std::ptrdiff_t>(got));
-        if (got < chunk.size())
-            break;
+    // Size the buffer from the file length and read it in one call; a
+    // file that changes length underneath fails as an IO error.
+    long length = -1;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        length = std::ftell(f);
+        if (std::fseek(f, 0, SEEK_SET) != 0)
+            length = -1;
     }
-    bool read_error = std::ferror(f) != 0;
+    if (length < 0) {
+        std::fclose(f);
+        return CkptStatus::kIoError;
+    }
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(length));
+    std::size_t got =
+        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
+    bool complete = got == bytes.size() && std::fgetc(f) == EOF &&
+                    std::ferror(f) == 0;
     std::fclose(f);
-    if (read_error)
+    if (!complete)
         return CkptStatus::kIoError;
     return parse(std::move(bytes));
 }
 
-const std::vector<std::uint8_t> *
-CkptReader::section(const std::string &name) const
+std::optional<std::span<const std::uint8_t>>
+CkptReader::section(std::string_view name) const
 {
     for (const CkptSection &section : sections_) {
         if (section.name == name)
-            return &section.payload;
+            return section.payload;
     }
-    return nullptr;
+    return std::nullopt;
 }
 
 }  // namespace sdfm

@@ -15,7 +15,7 @@
  *     u32 CRC32 (IEEE) of the payload bytes
  *
  * The reader validates the whole container -- magic, version, length
- * framing, every section CRC -- before any payload is handed to a
+ * framing, then every section CRC -- before any payload is handed to a
  * subsystem, and restore callers stage into a replica before touching
  * live state, so a rejected checkpoint never partially mutates a
  * running fleet. Rejections are typed (CkptStatus), never UB.
@@ -29,9 +29,16 @@
 #ifndef SDFM_CKPT_CHECKPOINT_H
 #define SDFM_CKPT_CHECKPOINT_H
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/age_histogram.h"
@@ -72,32 +79,17 @@ std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
 /**
  * Append-only little-endian byte sink. One Serializer builds one
  * section payload; framing and CRCs are the CkptWriter's job.
+ *
+ * Multi-byte values land as one memcpy on little-endian hosts; the
+ * byte-wise path is the portable fallback and defines the wire order.
  */
 class Serializer
 {
   public:
     void put_u8(std::uint8_t v) { buf_.push_back(v); }
-
-    void
-    put_u16(std::uint16_t v)
-    {
-        put_u8(static_cast<std::uint8_t>(v & 0xff));
-        put_u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    put_u32(std::uint32_t v)
-    {
-        put_u16(static_cast<std::uint16_t>(v & 0xffff));
-        put_u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    put_u64(std::uint64_t v)
-    {
-        put_u32(static_cast<std::uint32_t>(v & 0xffffffffu));
-        put_u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void put_u16(std::uint16_t v) { put_le(v); }
+    void put_u32(std::uint32_t v) { put_le(v); }
+    void put_u64(std::uint64_t v) { put_le(v); }
 
     void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
 
@@ -105,6 +97,27 @@ class Serializer
     void put_double(double v);
 
     void put_bool(bool v) { put_u8(v ? 1 : 0); }
+
+    /** Raw bytes, no length prefix. */
+    void
+    put_bytes(const std::uint8_t *data, std::size_t size)
+    {
+        if (size != 0)
+            std::memcpy(extend(size), data, size);
+    }
+
+    /**
+     * Grow the payload by @p n bytes and return a pointer to them, for
+     * callers that encode a bulk record region in place. The pointer
+     * is invalidated by the next put or extend.
+     */
+    std::uint8_t *
+    extend(std::size_t n)
+    {
+        std::size_t old = buf_.size();
+        buf_.resize(old + n);
+        return buf_.data() + old;
+    }
 
     /** u64 length prefix + raw bytes. */
     void put_string(const std::string &s);
@@ -122,6 +135,18 @@ class Serializer
     std::vector<std::uint8_t> take() { return std::move(buf_); }
 
   private:
+    template <typename T>
+    void
+    put_le(T v)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(extend(sizeof v), &v, sizeof v);
+        } else {
+            for (std::size_t i = 0; i < sizeof v; ++i)
+                buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        }
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
@@ -129,8 +154,10 @@ class Serializer
  * Bounds-checked little-endian byte source over a section payload.
  * Reads past the end set a sticky failure flag and return zeros;
  * callers check ok() once after a load instead of after every field.
- * Payloads are CRC-validated before a Deserializer ever sees them,
- * so a failed read means semantic corruption (kCorruptPayload).
+ * A multi-byte read with too few bytes left fails the stream for good
+ * and consumes the rest of it, so later reads also fail. Payloads are
+ * CRC-validated before a Deserializer ever sees them, so a failed
+ * read means semantic corruption (kCorruptPayload).
  */
 class Deserializer
 {
@@ -140,7 +167,7 @@ class Deserializer
     {
     }
 
-    explicit Deserializer(const std::vector<std::uint8_t> &bytes)
+    explicit Deserializer(std::span<const std::uint8_t> bytes)
         : Deserializer(bytes.data(), bytes.size())
     {
     }
@@ -155,35 +182,33 @@ class Deserializer
         return data_[pos_++];
     }
 
-    std::uint16_t
-    get_u16()
-    {
-        std::uint16_t lo = get_u8();
-        std::uint16_t hi = get_u8();
-        return static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-
-    std::uint32_t
-    get_u32()
-    {
-        std::uint32_t lo = get_u16();
-        std::uint32_t hi = get_u16();
-        return lo | (hi << 16);
-    }
-
-    std::uint64_t
-    get_u64()
-    {
-        std::uint64_t lo = get_u32();
-        std::uint64_t hi = get_u32();
-        return lo | (hi << 32);
-    }
+    std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
+    std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
+    std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
 
     std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
 
     double get_double();
 
     bool get_bool() { return get_u8() != 0; }
+
+    /**
+     * The next @p n raw bytes as a view into the payload. A short
+     * read fails the stream, consumes the rest of it and returns an
+     * empty view.
+     */
+    std::span<const std::uint8_t>
+    get_bytes(std::size_t n)
+    {
+        if (n > size_ - pos_) {
+            ok_ = false;
+            pos_ = size_;
+            return {};
+        }
+        std::span<const std::uint8_t> out(data_ + pos_, n);
+        pos_ += n;
+        return out;
+    }
 
     std::string get_string();
 
@@ -197,8 +222,8 @@ class Deserializer
      * A size prefix that bounds a following container. Fails the
      * stream (and returns 0) when the declared size exceeds
      * @p max_elems or the remaining bytes could not possibly hold it
-     * (@p min_bytes_per_elem each), so corrupt counts cannot drive
-     * huge allocations.
+     * (@p min_bytes_per_elem each, at least 1), so corrupt counts
+     * cannot drive huge allocations.
      */
     std::size_t get_size(std::size_t max_elems,
                          std::size_t min_bytes_per_elem = 1);
@@ -213,11 +238,68 @@ class Deserializer
     bool at_end() const { return pos_ == size_; }
 
   private:
+    template <typename T>
+    T
+    get_le()
+    {
+        if (sizeof(T) > size_ - pos_) {
+            ok_ = false;
+            pos_ = size_;
+            return 0;
+        }
+        T v = 0;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&v, data_ + pos_, sizeof v);
+        } else {
+            for (std::size_t i = 0; i < sizeof v; ++i)
+                v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+        }
+        pos_ += sizeof v;
+        return v;
+    }
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
     bool ok_ = true;
 };
+
+/**
+ * The entries of a hash map in ascending key order, for deterministic
+ * checkpoint payloads. @p candidates(emit) calls emit(key) for the
+ * caller's guess at the key set, in ascending order (say, the pages
+ * flagged as stored). When the guess names exactly the map's keys, the
+ * entries come from lookups in key order: independent lookups whose
+ * cache misses overlap, and no sort. Otherwise the entries are
+ * extracted and sorted, so the result never depends on the guess.
+ */
+template <typename Map, typename Candidates>
+std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
+ckpt_sorted_entries(const Map &map, Candidates &&candidates)
+{
+    using Key = typename Map::key_type;
+    std::vector<std::pair<Key, typename Map::mapped_type>> out;
+    out.reserve(map.size());
+    bool exact = true;
+    candidates([&](const Key &key) {
+        if (!exact)
+            return;
+        auto it = map.find(key);
+        if (it == map.end() || out.size() == map.size() ||
+            (!out.empty() && !(out.back().first < key))) {
+            exact = false;
+            return;
+        }
+        out.emplace_back(key, it->second);
+    });
+    if (exact && out.size() == map.size())
+        return out;
+    // Walking a hash map visits keys in an implementation-defined
+    // order; the sort makes the extraction deterministic.
+    out.assign(map.begin(), map.end());
+    std::sort(out.begin(), out.end());
+    return out;
+}
 
 /**
  * Interface for a subsystem that can snapshot and restore its full
@@ -256,49 +338,86 @@ struct CkptRestoreTag
 {
 };
 
-/** One named, CRC-protected section. */
-struct CkptSection
-{
-    std::string name;
-    std::vector<std::uint8_t> payload;
-};
-
 /** Builds and writes a checkpoint container. */
 class CkptWriter
 {
   public:
-    /** Add a section; names must be unique. */
+    /** Add a section; names must be unique. Computes its CRC. */
     void add_section(std::string name, std::vector<std::uint8_t> payload);
 
-    /** Encode the container (sections sorted by name). */
+    /**
+     * Add a section whose CRC the caller already computed, so payloads
+     * encoded in parallel are also checksummed in parallel. @p crc
+     * must equal crc32() of @p payload.
+     */
+    void add_section(std::string name, std::vector<std::uint8_t> payload,
+                     std::uint32_t crc);
+
+    /**
+     * The container bytes (sections sorted by name). The reference
+     * encoding: write_file() streams exactly these bytes.
+     */
     std::vector<std::uint8_t> encode() const;
 
-    /** Encode and atomically replace @p path (write tmp + rename). */
+    /**
+     * Stream the container to @p path.tmp, then rename it over
+     * @p path. The rename makes the replacement atomic against a
+     * process kill; without an fsync it is not durable across a power
+     * loss.
+     */
     CkptStatus write_file(const std::string &path) const;
 
   private:
-    std::vector<CkptSection> sections_;
+    struct Section
+    {
+        std::string name;
+        std::vector<std::uint8_t> payload;
+        std::uint32_t crc;
+    };
+
+    /** Emit the container as consecutive byte chunks, in file order. */
+    template <typename Sink> void emit(Sink &&sink) const;
+
+    std::vector<Section> sections_;
+};
+
+/** One section of a parsed container: a view into the reader's buffer. */
+struct CkptSection
+{
+    std::string name;
+    std::span<const std::uint8_t> payload;
 };
 
 /**
- * Parses and fully validates a checkpoint container. After parse()
- * returns kOk, every section's framing and CRC has been verified.
+ * Parses and fully validates a checkpoint container. The reader owns
+ * the container bytes; sections are views into them, valid while the
+ * reader lives. parse() checks all framing first (magic, version,
+ * lengths, ascending unique names, no trailing bytes), then every
+ * section CRC, so a file that is both truncated and bit-flipped
+ * reports kTruncated. After kOk, every section has passed both.
  */
 class CkptReader
 {
   public:
+    CkptReader() = default;
+    // A copy's section views would still point into this buffer.
+    CkptReader(const CkptReader &) = delete;
+    CkptReader &operator=(const CkptReader &) = delete;
+
     /** Validate @p bytes; on kOk, populates this reader. */
     CkptStatus parse(std::vector<std::uint8_t> bytes);
 
     /** Read and validate a file. */
     CkptStatus read_file(const std::string &path);
 
-    /** Section payload by name; nullptr when absent. */
-    const std::vector<std::uint8_t> *section(const std::string &name) const;
+    /** Section payload by name; empty optional when absent. */
+    std::optional<std::span<const std::uint8_t>>
+    section(std::string_view name) const;
 
     const std::vector<CkptSection> &sections() const { return sections_; }
 
   private:
+    std::vector<std::uint8_t> bytes_;
     std::vector<CkptSection> sections_;
 };
 

@@ -12,7 +12,10 @@
  * digest-identical by construction.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <span>
 
 #include "core/far_memory_system.h"
 
@@ -238,10 +241,25 @@ FarMemorySystem::checkpoint(const std::string &path) const
         s.put_u32(static_cast<std::uint32_t>(clusters_.size()));
         writer.add_section("fleet", s.take());
     }
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+    // Clusters are independent, so their sections (the bulk of the
+    // file) are encoded and checksummed on the stepping pool.
+    std::vector<std::vector<std::uint8_t>> payloads(clusters_.size());
+    std::vector<std::uint32_t> crcs(clusters_.size());
+    auto encode = [&](std::size_t c) {
         Serializer s;
         clusters_[c]->ckpt_save(s);
-        writer.add_section(cluster_section_name(c), s.take());
+        payloads[c] = s.take();
+        crcs[c] = crc32(payloads[c].data(), payloads[c].size());
+    };
+    if (pool_ != nullptr) {
+        parallel_for(*pool_, clusters_.size(), encode);
+    } else {
+        for (std::size_t c = 0; c < clusters_.size(); ++c)
+            encode(c);
+    }
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+        writer.add_section(cluster_section_name(c), std::move(payloads[c]),
+                           crcs[c]);
     }
     // Lease state rides in its own versioned per-cluster section so
     // the cluster/machine wire is unchanged when pooling is off.
@@ -273,18 +291,18 @@ FarMemorySystem::restore(const std::string &path)
     if (status != CkptStatus::kOk)
         return status;
 
-    const std::vector<std::uint8_t> *config_bytes =
+    std::optional<std::span<const std::uint8_t>> config_bytes =
         reader.section("config");
-    if (config_bytes == nullptr)
+    if (!config_bytes)
         return CkptStatus::kCorruptPayload;
     Serializer expected;
     save_fleet_config(expected, config_);
-    if (*config_bytes != expected.bytes())
+    if (!std::ranges::equal(*config_bytes, expected.bytes()))
         return CkptStatus::kConfigMismatch;
 
-    const std::vector<std::uint8_t> *fleet_bytes =
+    std::optional<std::span<const std::uint8_t>> fleet_bytes =
         reader.section("fleet");
-    if (fleet_bytes == nullptr)
+    if (!fleet_bytes)
         return CkptStatus::kCorruptPayload;
     Deserializer fd(*fleet_bytes);
     SimTime now = fd.get_i64();
@@ -298,10 +316,14 @@ FarMemorySystem::restore(const std::string &path)
     // machines); the live fleet is untouched until every section has
     // loaded and validated cleanly.
     FarMemorySystem replica(config_);
+    // Clusters decode serially on this thread. Decoding them on the
+    // worker pool restores faster, but the restored fleet then lands in
+    // the per-thread allocator heaps the previous fleet's workers freed
+    // and steps 6-14% slower at p50 (cold_fleet benchmark).
     for (std::size_t c = 0; c < replica.clusters_.size(); ++c) {
-        const std::vector<std::uint8_t> *bytes =
+        std::optional<std::span<const std::uint8_t>> bytes =
             reader.section(cluster_section_name(c));
-        if (bytes == nullptr)
+        if (!bytes)
             return CkptStatus::kCorruptPayload;
         Deserializer d(*bytes);
         if (!replica.clusters_[c]->ckpt_load(d) || !d.ok() || !d.at_end())
@@ -311,9 +333,9 @@ FarMemorySystem::restore(const std::string &path)
         MemoryBroker *broker = replica.clusters_[c]->broker();
         if (broker == nullptr)
             continue;
-        const std::vector<std::uint8_t> *bytes =
+        std::optional<std::span<const std::uint8_t>> bytes =
             reader.section(pool_section_name(c));
-        if (bytes == nullptr)
+        if (!bytes)
             return CkptStatus::kCorruptPayload;
         Deserializer d(*bytes);
         std::uint32_t version = d.get_u32();
@@ -333,9 +355,9 @@ FarMemorySystem::restore(const std::string &path)
     }
 
     if (replica.rollout_ != nullptr) {
-        const std::vector<std::uint8_t> *bytes =
+        std::optional<std::span<const std::uint8_t>> bytes =
             reader.section("rollout");
-        if (bytes == nullptr)
+        if (!bytes)
             return CkptStatus::kCorruptPayload;
         Deserializer d(*bytes);
         std::uint32_t version = d.get_u32();

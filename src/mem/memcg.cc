@@ -319,14 +319,15 @@ Memcg::ckpt_save(Serializer &s) const
     // count, then per-page (age, flags, content, version) records.
     pages_.ckpt_save(s);
 
-    std::vector<std::pair<PageId, ZsHandle>> handles;
-    handles.reserve(zswap_handles_.size());
-    // sdfm-lint: allow(unordered-iter) -- extraction only; the pairs
-    // are sorted by page id before serialization so the wire bytes
-    // are independent of hash-map iteration order.
-    for (const auto &[p, h] : zswap_handles_)
-        handles.emplace_back(p, h);
-    std::sort(handles.begin(), handles.end());
+    // Sorted by page id so the wire bytes are independent of hash-map
+    // iteration order; the pages flagged in zswap are the key set.
+    std::vector<std::pair<PageId, ZsHandle>> handles = ckpt_sorted_entries(
+        zswap_handles_, [this](auto &&emit) {
+            for (PageId p = 0; p < num_pages(); ++p) {
+                if (pages_.test(p, kPageInZswap))
+                    emit(p);
+            }
+        });
     s.put_u64(handles.size());
     for (const auto &[p, h] : handles) {
         s.put_u32(p);

@@ -1,5 +1,8 @@
 #include "mem/page_table.h"
 
+#include <algorithm>
+#include <span>
+
 #include "util/digest.h"
 #include "util/invariant.h"
 
@@ -11,6 +14,15 @@ namespace {
 constexpr std::uint8_t kKnownFlags =
     kPageAccessed | kPageDirty | kPageUnevictable | kPageIncompressible |
     kPageInZswap | kPageInFarTier;
+
+// The SoA checkpoint paths stack bitset bits straight into the flag
+// byte, so each flag must sit at its bitset's fixed position.
+static_assert(kPageAccessed == 1 << 0 && kPageDirty == 1 << 1 &&
+              kPageUnevictable == 1 << 2 && kPageIncompressible == 1 << 3 &&
+              kPageInZswap == 1 << 4 && kPageInFarTier == 1 << 5);
+
+/** Wire bytes per page: age u8, flags u8, content u8, version u16. */
+constexpr std::size_t kPageRecordBytes = 5;
 
 PageLayout g_default_layout = PageLayout::kSoa;
 
@@ -122,35 +134,45 @@ void
 PageTable::ckpt_save(Serializer &s) const
 {
     s.put_u64(num_pages_);
+    std::uint8_t *out =
+        s.extend(static_cast<std::size_t>(num_pages_) * kPageRecordBytes);
+    auto put_record = [&out](std::uint8_t age, std::uint8_t f,
+                             std::uint8_t content, std::uint16_t version) {
+        out[0] = age;
+        out[1] = f;
+        out[2] = content;
+        out[3] = static_cast<std::uint8_t>(version & 0xff);
+        out[4] = static_cast<std::uint8_t>(version >> 8);
+        out += kPageRecordBytes;
+    };
     if (layout_ == PageLayout::kAos) {
         for (const PageMeta &meta : aos_) {
-            s.put_u8(meta.age);
-            s.put_u8(meta.flags);
-            s.put_u8(static_cast<std::uint8_t>(meta.content));
-            s.put_u16(meta.version);
+            put_record(meta.age, meta.flags,
+                       static_cast<std::uint8_t>(meta.content),
+                       meta.version);
         }
         return;
     }
-    for (PageId p = 0; p < num_pages_; ++p) {
-        std::size_t w = word_of(p);
-        std::uint64_t m = bit_of(p);
-        std::uint8_t f = 0;
-        if (accessed_[w] & m)
-            f |= kPageAccessed;
-        if (dirty_[w] & m)
-            f |= kPageDirty;
-        if (unevictable_[w] & m)
-            f |= kPageUnevictable;
-        if (incompressible_[w] & m)
-            f |= kPageIncompressible;
-        if (in_zswap_[w] & m)
-            f |= kPageInZswap;
-        if (in_far_[w] & m)
-            f |= kPageInFarTier;
-        s.put_u8(age_[p]);
-        s.put_u8(f);
-        s.put_u8(content_[p]);
-        s.put_u16(version_[p]);
+    // One pass per bitset word: the flag byte is the six bitset bits
+    // of the page stacked at their PageFlag positions.
+    for (std::size_t w = 0; w < accessed_.size(); ++w) {
+        const std::uint64_t acc = accessed_[w];
+        const std::uint64_t dirty = dirty_[w];
+        const std::uint64_t unevictable = unevictable_[w];
+        const std::uint64_t incompressible = incompressible_[w];
+        const std::uint64_t zswap = in_zswap_[w];
+        const std::uint64_t far = in_far_[w];
+        PageId first = static_cast<PageId>(w * 64);
+        PageId end = std::min<PageId>(first + 64, num_pages_);
+        for (PageId p = first; p < end; ++p) {
+            unsigned b = p & 63;
+            auto f = static_cast<std::uint8_t>(
+                ((acc >> b) & 1) | ((dirty >> b) & 1) << 1 |
+                ((unevictable >> b) & 1) << 2 |
+                ((incompressible >> b) & 1) << 3 | ((zswap >> b) & 1) << 4 |
+                ((far >> b) & 1) << 5);
+            put_record(age_[p], f, content_[p], version_[p]);
+        }
     }
 }
 
@@ -158,54 +180,59 @@ bool
 PageTable::ckpt_load(Deserializer &d, std::uint64_t &flagged_zswap,
                      std::uint64_t &flagged_tier)
 {
-    std::size_t num = d.get_size(0xffffffffu, 5);
+    std::size_t num = d.get_size(0xffffffffu, kPageRecordBytes);
     if (!d.ok() || num == 0)
+        return false;
+    std::span<const std::uint8_t> records =
+        d.get_bytes(num * kPageRecordBytes);
+    if (!d.ok())
         return false;
     resize(static_cast<std::uint32_t>(num));
     flagged_zswap = 0;
     flagged_tier = 0;
-    for (PageId p = 0; p < num_pages_; ++p) {
-        std::uint8_t age = d.get_u8();
-        std::uint8_t f = d.get_u8();
-        std::uint8_t content = d.get_u8();
-        std::uint16_t version = d.get_u16();
-        if ((f & ~kKnownFlags) != 0)
-            return false;
-        if (content >=
-            static_cast<std::uint8_t>(ContentClass::kNumClasses)) {
-            return false;
+    const std::uint8_t *in = records.data();
+    for (std::size_t w = 0; w * 64 < num_pages_; ++w) {
+        std::uint64_t bits[6] = {};
+        PageId first = static_cast<PageId>(w * 64);
+        PageId end = std::min<PageId>(first + 64, num_pages_);
+        for (PageId p = first; p < end; ++p, in += kPageRecordBytes) {
+            std::uint8_t age = in[0];
+            std::uint8_t f = in[1];
+            std::uint8_t content = in[2];
+            auto version = static_cast<std::uint16_t>(in[3] | in[4] << 8);
+            if ((f & ~kKnownFlags) != 0)
+                return false;
+            if (content >=
+                static_cast<std::uint8_t>(ContentClass::kNumClasses)) {
+                return false;
+            }
+            flagged_zswap += (f & kPageInZswap) != 0;
+            flagged_tier += (f & kPageInFarTier) != 0;
+            if (layout_ == PageLayout::kAos) {
+                aos_[p].age = age;
+                aos_[p].flags = f;
+                aos_[p].content = static_cast<ContentClass>(content);
+                aos_[p].version = version;
+                continue;
+            }
+            age_[p] = age;
+            version_[p] = version;
+            content_[p] = content;
+            unsigned b = p & 63;
+            for (unsigned k = 0; k < 6; ++k)
+                bits[k] |= static_cast<std::uint64_t>((f >> k) & 1) << b;
         }
-        if (f & kPageInZswap)
-            ++flagged_zswap;
-        if (f & kPageInFarTier)
-            ++flagged_tier;
-        if (layout_ == PageLayout::kAos) {
-            aos_[p].age = age;
-            aos_[p].flags = f;
-            aos_[p].content = static_cast<ContentClass>(content);
-            aos_[p].version = version;
+        if (layout_ == PageLayout::kAos)
             continue;
-        }
-        std::size_t w = word_of(p);
-        std::uint64_t m = bit_of(p);
-        age_[p] = age;
-        version_[p] = version;
-        content_[p] = content;
-        if (f & kPageAccessed)
-            accessed_[w] |= m;
-        if (f & kPageDirty)
-            dirty_[w] |= m;
-        if (f & kPageUnevictable)
-            unevictable_[w] |= m;
-        if (f & kPageIncompressible)
-            incompressible_[w] |= m;
-        if (f & kPageInZswap)
-            in_zswap_[w] |= m;
-        if (f & kPageInFarTier)
-            in_far_[w] |= m;
+        accessed_[w] = bits[0];
+        dirty_[w] = bits[1];
+        unevictable_[w] = bits[2];
+        incompressible_[w] = bits[3];
+        in_zswap_[w] = bits[4];
+        in_far_[w] = bits[5];
     }
     rebuild_region_summaries();
-    return d.ok();
+    return true;
 }
 
 void

@@ -281,14 +281,15 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
-    std::vector<std::pair<ZsHandle, std::uint64_t>> sums;
-    sums.reserve(checksums_.size());
-    // sdfm-lint: allow(unordered-iter) -- extraction only; sorted by
-    // handle before serialization so the wire bytes are independent
-    // of hash-map iteration order.
-    for (const auto &[handle, sum] : checksums_)
-        sums.emplace_back(handle, sum);
-    std::sort(sums.begin(), sums.end());
+    // Sorted by handle so the wire bytes are independent of hash-map
+    // iteration order; the arena's live handles are the key set.
+    std::vector<std::pair<ZsHandle, std::uint64_t>> sums = ckpt_sorted_entries(
+        checksums_, [this](auto &&emit) {
+            for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
+                if (arena_.is_live(h))
+                    emit(h);
+            }
+        });
     s.put_u64(sums.size());
     for (const auto &[handle, sum] : sums) {
         s.put_u64(handle);

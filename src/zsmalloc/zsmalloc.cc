@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "util/invariant.h"
 #include "util/units.h"
@@ -342,8 +343,7 @@ ZsmallocArena::ckpt_save(Serializer &s) const
         s.put_u32(entry.zspage);
         s.put_bool(entry.live);
         s.put_u64(entry.bytes.size());
-        for (std::uint8_t byte : entry.bytes)
-            s.put_u8(byte);
+        s.put_bytes(entry.bytes.data(), entry.bytes.size());
     }
     s.put_u64_vec(free_entries_);
     s.put_u64(classes_.size());
@@ -388,11 +388,10 @@ ZsmallocArena::ckpt_load(Deserializer &d)
         entry.zspage = d.get_u32();
         entry.live = d.get_bool();
         std::size_t num_bytes = d.get_size(kMaxAlloc);
+        std::span<const std::uint8_t> bytes = d.get_bytes(num_bytes);
         if (!d.ok())
             return false;
-        entry.bytes.reserve(num_bytes);
-        for (std::size_t b = 0; b < num_bytes; ++b)
-            entry.bytes.push_back(d.get_u8());
+        entry.bytes.assign(bytes.begin(), bytes.end());
         if (entry.live) {
             ++live_count;
             if (entry.class_idx >= kNumClasses ||

@@ -99,6 +99,9 @@ class ZsmallocArena : public Checkpointable
     /** Number of live objects. */
     std::uint64_t live_objects() const { return stats_.live_objects; }
 
+    /** One past the largest handle the arena has issued. */
+    ZsHandle handle_limit() const { return entries_.size(); }
+
     /** True iff @p handle currently references a live payload. */
     bool
     is_live(ZsHandle handle) const

@@ -11,10 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "autotune/gp_bandit.h"
@@ -98,10 +103,12 @@ TEST(CkptContainer, RoundTripsSections)
     EXPECT_EQ(reader.sections()[0].name, "alpha");
     EXPECT_EQ(reader.sections()[1].name, "mid");
     EXPECT_EQ(reader.sections()[2].name, "zebra");
-    ASSERT_NE(reader.section("zebra"), nullptr);
-    EXPECT_EQ(*reader.section("zebra"),
+    std::optional<std::span<const std::uint8_t>> zebra =
+        reader.section("zebra");
+    ASSERT_TRUE(zebra.has_value());
+    EXPECT_EQ(std::vector<std::uint8_t>(zebra->begin(), zebra->end()),
               (std::vector<std::uint8_t>{1, 2, 3}));
-    EXPECT_EQ(reader.section("absent"), nullptr);
+    EXPECT_FALSE(reader.section("absent").has_value());
 }
 
 TEST(CkptContainer, RejectsTamperedBytes)
@@ -135,6 +142,225 @@ TEST(CkptContainer, RejectsTamperedBytes)
         bad[8] ^= 0x02;
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kBadVersion);
+    }
+}
+
+/** The byte-at-a-time CRC32 the sliced implementation must match. */
+std::uint32_t
+crc32_bytewise(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptCrc, KnownAnswer)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(check.data()),
+                    check.size()),
+              0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(CkptCrc, SlicedMatchesBytewiseAtEveryLengthAndAlignment)
+{
+    Rng rng(7);
+    std::vector<std::uint8_t> buf(257 + 8);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next_u64());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            const std::uint8_t *data = buf.data() + offset;
+            ASSERT_EQ(crc32(data, len), crc32_bytewise(data, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
+TEST(CkptSerializer, MultiByteValuesAreLittleEndian)
+{
+    Serializer s;
+    s.put_u16(0x0102);
+    s.put_u32(0x03040506u);
+    s.put_u64(0x0708090A0B0C0D0EULL);
+    EXPECT_EQ(s.bytes(),
+              (std::vector<std::uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03,
+                                         0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09,
+                                         0x08, 0x07}));
+    Deserializer d(s.bytes());
+    EXPECT_EQ(d.get_u16(), 0x0102u);
+    EXPECT_EQ(d.get_u32(), 0x03040506u);
+    EXPECT_EQ(d.get_u64(), 0x0708090A0B0C0D0EULL);
+    EXPECT_TRUE(d.ok());
+    EXPECT_TRUE(d.at_end());
+}
+
+TEST(CkptSerializer, BulkBytesRoundTrip)
+{
+    Serializer s;
+    s.put_u8(0xAA);
+    const std::uint8_t raw[] = {1, 2, 3, 4, 5};
+    s.put_bytes(raw, sizeof raw);
+    s.put_bytes(nullptr, 0);
+    std::uint8_t *region = s.extend(3);
+    region[0] = 7;
+    region[1] = 8;
+    region[2] = 9;
+    s.put_u32(0xDEADBEEFu);
+    ASSERT_EQ(s.bytes().size(), 1u + 5u + 3u + 4u);
+
+    Deserializer d(s.bytes());
+    EXPECT_EQ(d.get_u8(), 0xAA);
+    std::span<const std::uint8_t> got = d.get_bytes(5);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
+              (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+    EXPECT_TRUE(d.get_bytes(0).empty());
+    got = d.get_bytes(3);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
+              (std::vector<std::uint8_t>{7, 8, 9}));
+    EXPECT_EQ(d.get_u32(), 0xDEADBEEFu);
+    EXPECT_TRUE(d.ok());
+    EXPECT_TRUE(d.at_end());
+}
+
+TEST(CkptSerializer, ShortReadsFailAndConsumeTheStream)
+{
+    const std::vector<std::uint8_t> bytes = {1, 2, 3};
+    {  // bulk read one byte too long
+        Deserializer d(bytes);
+        EXPECT_TRUE(d.get_bytes(4).empty());
+        EXPECT_FALSE(d.ok());
+        EXPECT_TRUE(d.at_end());
+    }
+    {  // multi-byte read with too few bytes left
+        Deserializer d(bytes);
+        EXPECT_EQ(d.get_u8(), 1u);
+        EXPECT_EQ(d.get_u32(), 0u);
+        EXPECT_FALSE(d.ok());
+        EXPECT_TRUE(d.at_end());
+        EXPECT_EQ(d.get_u8(), 0u);  // the failure is sticky
+        EXPECT_FALSE(d.ok());
+    }
+    {  // string whose length prefix overruns the payload
+        Serializer s;
+        s.put_u64(10);
+        s.put_u8('x');
+        Deserializer d(s.bytes());
+        EXPECT_EQ(d.get_string(), "");
+        EXPECT_FALSE(d.ok());
+    }
+}
+
+TEST(CkptSerializer, SizeGuardDoesNotWrapOnHugeCounts)
+{
+    // 2^62 elements of 4 bytes each: the product wraps to zero, so a
+    // multiply-based guard would wave the count through.
+    Serializer s;
+    s.put_u64(1ULL << 62);
+    s.put_u32(0);
+    Deserializer d(s.bytes());
+    EXPECT_EQ(d.get_size(SIZE_MAX, 4), 0u);
+    EXPECT_FALSE(d.ok());
+}
+
+TEST(CkptSortedEntries, MatchesASortedExtractionForAnyGuess)
+{
+    std::unordered_map<std::uint32_t, std::uint64_t> map;
+    for (std::uint32_t k : {40u, 3u, 17u, 99u, 8u})
+        map.emplace(k, std::uint64_t{k} * 1000);
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> want(map.begin(),
+                                                              map.end());
+    std::sort(want.begin(), want.end());
+
+    auto with_guess = [&](std::vector<std::uint32_t> guess) {
+        return ckpt_sorted_entries(map, [&](auto &&emit) {
+            for (std::uint32_t k : guess)
+                emit(k);
+        });
+    };
+    EXPECT_EQ(with_guess({3, 8, 17, 40, 99}), want);      // exact
+    EXPECT_EQ(with_guess({3, 8, 40, 99}), want);          // misses a key
+    EXPECT_EQ(with_guess({3, 8, 17, 40, 50, 99}), want);  // extra key
+    EXPECT_EQ(with_guess({3, 8, 40, 17, 99}), want);      // out of order
+    EXPECT_EQ(with_guess({3, 3, 8, 17, 40, 99}), want);   // duplicate
+    EXPECT_EQ(with_guess({}), want);                      // no guess
+}
+
+TEST(CkptContainer, WriteFileStreamsTheEncodedBytes)
+{
+    CkptWriter writer;
+    writer.add_section("b", {4, 5, 6, 7, 8, 9, 10, 11, 12});
+    writer.add_section("a", {1, 2, 3});
+    writer.add_section("c", {});
+    std::vector<std::uint8_t> big(100000);
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<std::uint8_t>(i * 31);
+    std::uint32_t big_crc = crc32(big.data(), big.size());
+    writer.add_section("big", big, big_crc);
+
+    const std::string path = "ckpt_container_stream.ckpt";
+    ASSERT_EQ(writer.write_file(path), CkptStatus::kOk);
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    EXPECT_EQ(file, writer.encode());
+
+    CkptReader reader;
+    ASSERT_EQ(reader.parse(file), CkptStatus::kOk);
+    std::optional<std::span<const std::uint8_t>> got = reader.section("big");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(std::vector<std::uint8_t>(got->begin(), got->end()), big);
+}
+
+TEST(CkptContainer, FramingIsCheckedBeforeCrcsAcrossSections)
+{
+    CkptWriter writer;
+    writer.add_section("s1", {1, 2, 3, 4, 5, 6, 7, 8});
+    writer.add_section("s2", {9, 10, 11, 12, 13, 14, 15, 16});
+    writer.add_section("s3", {17, 18, 19, 20});
+    std::vector<std::uint8_t> good = writer.encode();
+    // Each section frames as u32 name length, name, u64 payload
+    // length, payload, u32 CRC; the header is 16 bytes.
+    const std::size_t s1_payload = 16 + 4 + 2 + 8;
+    const std::size_t s2_payload = s1_payload + 8 + 4 + 4 + 2 + 8;
+
+    {  // CRC flip in the first of several sections
+        std::vector<std::uint8_t> bad = good;
+        bad[s1_payload + 3] ^= 0x10;
+        CkptReader reader;
+        EXPECT_EQ(reader.parse(bad), CkptStatus::kCrcMismatch);
+        EXPECT_TRUE(reader.sections().empty());
+    }
+    {  // truncation inside the middle section's payload
+        std::vector<std::uint8_t> bad(
+            good.begin(), good.begin() + static_cast<long>(s2_payload + 4));
+        CkptReader reader;
+        EXPECT_EQ(reader.parse(bad), CkptStatus::kTruncated);
+    }
+    {  // both: the framing error wins over the earlier CRC flip
+        std::vector<std::uint8_t> bad(
+            good.begin(), good.begin() + static_cast<long>(s2_payload + 4));
+        bad[s1_payload + 3] ^= 0x10;
+        CkptReader reader;
+        EXPECT_EQ(reader.parse(bad), CkptStatus::kTruncated);
+    }
+    {  // trailing bytes after the last section are framing corruption
+        std::vector<std::uint8_t> bad = good;
+        bad.push_back(0);
+        bad[s1_payload + 3] ^= 0x10;
+        CkptReader reader;
+        EXPECT_EQ(reader.parse(bad), CkptStatus::kCorruptPayload);
+    }
+    {  // the intact container still parses
+        CkptReader reader;
+        ASSERT_EQ(reader.parse(good), CkptStatus::kOk);
+        EXPECT_EQ(reader.sections().size(), 3u);
     }
 }
 
@@ -616,7 +842,9 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
             if (section.name == "cluster.0000")
                 writer.add_section(section.name, {0xDE, 0xAD, 0xBE});
             else
-                writer.add_section(section.name, section.payload);
+                writer.add_section(
+                    section.name,
+                    {section.payload.begin(), section.payload.end()});
         }
         ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
         expect_rejected(CkptStatus::kCorruptPayload);
@@ -671,6 +899,86 @@ TEST(FleetCkpt, ConfigMismatchIsRejected)
         EXPECT_EQ(victim.restore(ckpt.path), CkptStatus::kOk);
         EXPECT_EQ(victim.state_digest(), fleet.state_digest());
     }
+}
+
+FleetConfig
+four_cluster_config(bool serial_step)
+{
+    FleetConfig config = small_fleet_config();
+    config.num_clusters = 4;
+    config.cluster.num_machines = 2;
+    config.serial_step = serial_step;
+    return config;
+}
+
+TEST(FleetCkpt, ParallelAndSerialFleetsWriteIdenticalFiles)
+{
+    TempCkpt serial_ckpt("fleet_ckpt_serial.ckpt");
+    TempCkpt parallel_ckpt("fleet_ckpt_parallel.ckpt");
+    FarMemorySystem serial(four_cluster_config(true));
+    FarMemorySystem parallel(four_cluster_config(false));
+    serial.populate();
+    parallel.populate();
+    for (int i = 0; i < 5; ++i) {
+        serial.step();
+        parallel.step();
+    }
+    ASSERT_EQ(serial.checkpoint(serial_ckpt.path), CkptStatus::kOk);
+    ASSERT_EQ(parallel.checkpoint(parallel_ckpt.path), CkptStatus::kOk);
+    std::vector<std::uint8_t> serial_bytes = slurp(serial_ckpt.path);
+    ASSERT_GT(serial_bytes.size(), 64u);
+    EXPECT_EQ(serial_bytes, slurp(parallel_ckpt.path));
+
+    // Either stepping mode restores the other's file.
+    FarMemorySystem resumed(four_cluster_config(false));
+    ASSERT_EQ(resumed.restore(serial_ckpt.path), CkptStatus::kOk);
+    EXPECT_EQ(resumed.state_digest(), serial.state_digest());
+    EXPECT_EQ(resumed.now(), serial.now());
+}
+
+TEST(FleetCkpt, CorruptMiddleClusterRejectsRestore)
+{
+    TempCkpt good("fleet_ckpt_par_good.ckpt");
+    TempCkpt bad("fleet_ckpt_par_bad.ckpt");
+    FarMemorySystem fleet(four_cluster_config(false));
+    fleet.populate();
+    for (int i = 0; i < 4; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+    for (int i = 0; i < 3; ++i)
+        fleet.step();
+    const std::uint64_t live_digest = fleet.state_digest();
+    const SimTime live_now = fleet.now();
+
+    // Drop the tail of cluster.0002 and re-frame it with a fresh CRC:
+    // the container is valid, the clusters before it load cleanly into
+    // the replica, and only that one cluster's load fails.
+    {
+        CkptReader reader;
+        ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
+        CkptWriter writer;
+        bool found = false;
+        for (const CkptSection &section : reader.sections()) {
+            std::vector<std::uint8_t> payload(section.payload.begin(),
+                                              section.payload.end());
+            if (section.name == "cluster.0002") {
+                ASSERT_GT(payload.size(), 8u);
+                payload.resize(payload.size() - 8);
+                found = true;
+            }
+            writer.add_section(section.name, std::move(payload));
+        }
+        ASSERT_TRUE(found);
+        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+    }
+    EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
+    EXPECT_EQ(fleet.state_digest(), live_digest)
+        << "a rejected restore mutated the live fleet";
+    EXPECT_EQ(fleet.now(), live_now);
+
+    // The intact checkpoint still restores over the same live fleet.
+    EXPECT_EQ(fleet.restore(good.path), CkptStatus::kOk);
+    EXPECT_NE(fleet.state_digest(), live_digest);
 }
 
 }  // namespace

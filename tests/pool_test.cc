@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -563,7 +565,9 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
                     writer.add_section(section.name, payload);
                     found = true;
                 } else {
-                    writer.add_section(section.name, section.payload);
+                    writer.add_section(
+                        section.name,
+                        {section.payload.begin(), section.payload.end()});
                 }
             }
             ASSERT_TRUE(found) << "pooled checkpoint lacks its pool "
@@ -584,10 +588,11 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
     {  // pool section from a different wire lineage
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        const std::vector<std::uint8_t> *payload =
+        std::optional<std::span<const std::uint8_t>> payload =
             reader.section("pool.0000");
-        ASSERT_NE(payload, nullptr);
-        std::vector<std::uint8_t> versioned = *payload;
+        ASSERT_TRUE(payload.has_value());
+        std::vector<std::uint8_t> versioned(payload->begin(),
+                                            payload->end());
         versioned[0] ^= 0x08;  // the section's own version u32
         rewrite_pool_section(versioned);
         expect_rejected(CkptStatus::kBadVersion);
@@ -597,9 +602,9 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
        // ckpt_load or ckpt_resolve must catch the inconsistency
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
-        const std::vector<std::uint8_t> *payload =
+        std::optional<std::span<const std::uint8_t>> payload =
             reader.section("pool.0000");
-        ASSERT_NE(payload, nullptr);
+        ASSERT_TRUE(payload.has_value());
         std::vector<std::uint8_t> truncated(
             payload->begin(), payload->end() - 8);
         rewrite_pool_section(truncated);
@@ -611,7 +616,9 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
         CkptWriter writer;
         for (const CkptSection &section : reader.sections()) {
             if (section.name != "pool.0000")
-                writer.add_section(section.name, section.payload);
+                writer.add_section(
+                    section.name,
+                    {section.payload.begin(), section.payload.end()});
         }
         ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
         expect_rejected(CkptStatus::kCorruptPayload);

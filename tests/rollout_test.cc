@@ -601,7 +601,9 @@ TEST(RolloutFleetTest, CorruptRolloutSectionSparesTheLiveFleet)
             if (section.name == "rollout")
                 writer.add_section(section.name, {0xDE, 0xAD, 0xBE});
             else
-                writer.add_section(section.name, section.payload);
+                writer.add_section(
+                    section.name,
+                    {section.payload.begin(), section.payload.end()});
         }
         ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
     }
@@ -616,7 +618,9 @@ TEST(RolloutFleetTest, CorruptRolloutSectionSparesTheLiveFleet)
         CkptWriter writer;
         for (const CkptSection &section : reader.sections()) {
             if (section.name != "rollout")
-                writer.add_section(section.name, section.payload);
+                writer.add_section(
+                    section.name,
+                    {section.payload.begin(), section.payload.end()});
         }
         ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
     }
