@@ -321,6 +321,16 @@ struct ClassRatioBand
     double max_ratio;
 };
 
+// Without a printer gtest names each case after the raw bytes of the
+// struct, padding included, so the name would change from build to
+// build.
+void
+PrintTo(const ClassRatioBand &band, std::ostream *os)
+{
+    *os << content_class_name(band.cls) << " ratio " << band.min_ratio
+        << " to " << band.max_ratio;
+}
+
 class ClassCompressibility
     : public ::testing::TestWithParam<ClassRatioBand>
 {
