@@ -29,7 +29,6 @@
 #ifndef SDFM_CKPT_CHECKPOINT_H
 #define SDFM_CKPT_CHECKPOINT_H
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -263,43 +262,6 @@ class Deserializer
     std::size_t pos_ = 0;
     bool ok_ = true;
 };
-
-/**
- * The entries of a hash map in ascending key order, for deterministic
- * checkpoint payloads. @p candidates(emit) calls emit(key) for the
- * caller's guess at the key set, in ascending order (say, the pages
- * flagged as stored). When the guess names exactly the map's keys, the
- * entries come from lookups in key order: independent lookups whose
- * cache misses overlap, and no sort. Otherwise the entries are
- * extracted and sorted, so the result never depends on the guess.
- */
-template <typename Map, typename Candidates>
-std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
-ckpt_sorted_entries(const Map &map, Candidates &&candidates)
-{
-    using Key = typename Map::key_type;
-    std::vector<std::pair<Key, typename Map::mapped_type>> out;
-    out.reserve(map.size());
-    bool exact = true;
-    candidates([&](const Key &key) {
-        if (!exact)
-            return;
-        auto it = map.find(key);
-        if (it == map.end() || out.size() == map.size() ||
-            (!out.empty() && !(out.back().first < key))) {
-            exact = false;
-            return;
-        }
-        out.emplace_back(key, it->second);
-    });
-    if (exact && out.size() == map.size())
-        return out;
-    // Walking a hash map visits keys in an implementation-defined
-    // order; the sort makes the extraction deterministic.
-    out.assign(map.begin(), map.end());
-    std::sort(out.begin(), out.end());
-    return out;
-}
 
 /**
  * Interface for a subsystem that can snapshot and restore its full

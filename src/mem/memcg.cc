@@ -319,20 +319,21 @@ Memcg::ckpt_save(Serializer &s) const
     // count, then per-page (age, flags, content, version) records.
     pages_.ckpt_save(s);
 
-    // Sorted by page id so the wire bytes are independent of hash-map
-    // iteration order; the pages flagged in zswap are the key set.
-    std::vector<std::pair<PageId, ZsHandle>> handles = ckpt_sorted_entries(
-        zswap_handles_, [this](auto &&emit) {
-            for (PageId p = 0; p < num_pages(); ++p) {
-                if (pages_.test(p, kPageInZswap))
-                    emit(p);
-            }
-        });
-    s.put_u64(handles.size());
-    for (const auto &[p, h] : handles) {
+    // In page-id order, so the wire bytes are independent of hash-map
+    // iteration order: the pages flagged in zswap are exactly the
+    // map's keys (ckpt_load rejects any other state).
+    s.put_u64(zswap_handles_.size());
+    std::size_t written = 0;
+    for (PageId p = 0; p < num_pages(); ++p) {
+        if (!pages_.test(p, kPageInZswap))
+            continue;
+        auto it = zswap_handles_.find(p);
+        SDFM_ASSERT(it != zswap_handles_.end());
         s.put_u32(p);
-        s.put_u64(h);
+        s.put_u64(it->second);
+        ++written;
     }
+    SDFM_ASSERT(written == zswap_handles_.size());
 
     s.put_age_histogram(cold_hist_);
     s.put_age_histogram(promo_hist_);

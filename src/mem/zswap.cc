@@ -281,20 +281,21 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
-    // Sorted by handle so the wire bytes are independent of hash-map
-    // iteration order; the arena's live handles are the key set.
-    std::vector<std::pair<ZsHandle, std::uint64_t>> sums = ckpt_sorted_entries(
-        checksums_, [this](auto &&emit) {
-            for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
-                if (arena_.is_live(h))
-                    emit(h);
-            }
-        });
-    s.put_u64(sums.size());
-    for (const auto &[handle, sum] : sums) {
-        s.put_u64(handle);
-        s.put_u64(sum);
+    // In handle order, so the wire bytes are independent of hash-map
+    // iteration order: the arena's live handles are exactly the map's
+    // keys (ckpt_load rejects any other state).
+    s.put_u64(checksums_.size());
+    std::size_t written = 0;
+    for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
+        if (!arena_.is_live(h))
+            continue;
+        auto it = checksums_.find(h);
+        SDFM_ASSERT(it != checksums_.end());
+        s.put_u64(h);
+        s.put_u64(it->second);
+        ++written;
     }
+    SDFM_ASSERT(written == checksums_.size());
 }
 
 bool
