@@ -240,14 +240,14 @@ Deserializer::get_size(std::size_t max_elems, std::size_t min_bytes_per_elem)
 // -- CkptWriter ------------------------------------------------------
 
 void
-CkptWriter::add_section(std::string name, std::vector<std::uint8_t> payload)
+CkptWriter::add_section(std::string name, ByteBuffer payload)
 {
     std::uint32_t crc = crc32(payload.data(), payload.size());
     add_section(std::move(name), std::move(payload), crc);
 }
 
 void
-CkptWriter::add_section(std::string name, std::vector<std::uint8_t> payload,
+CkptWriter::add_section(std::string name, ByteBuffer payload,
                         std::uint32_t crc)
 {
     for (const Section &section : sections_)
@@ -292,7 +292,7 @@ CkptWriter::emit(Sink &&sink) const
     }
 }
 
-std::vector<std::uint8_t>
+ByteBuffer
 CkptWriter::encode() const
 {
     Serializer s;
@@ -332,9 +332,9 @@ CkptWriter::write_file(const std::string &path) const
 // -- CkptReader ------------------------------------------------------
 
 CkptStatus
-CkptReader::parse(std::vector<std::uint8_t> bytes)
+CkptReader::parse(ByteBuffer bytes, ThreadPool *pool)
 {
-    bytes_.clear();
+    bytes_ = ByteBuffer();
     sections_.clear();
     Deserializer d(bytes);
     if (d.remaining() < 8)
@@ -381,9 +381,19 @@ CkptReader::parse(std::vector<std::uint8_t> bytes)
     SDFM_ASSERT(d.ok());
 
     // Pass 2: every payload CRC, before any section is exposed.
-    for (std::size_t i = 0; i < sections.size(); ++i) {
+    std::vector<std::uint8_t> crc_ok(sections.size(), 0);
+    auto check_crc = [&](std::size_t i) {
         std::span<const std::uint8_t> payload = sections[i].payload;
-        if (crc32(payload.data(), payload.size()) != stored_crcs[i])
+        crc_ok[i] = crc32(payload.data(), payload.size()) == stored_crcs[i];
+    };
+    if (pool != nullptr) {
+        parallel_for(*pool, sections.size(), check_crc);
+    } else {
+        for (std::size_t i = 0; i < sections.size(); ++i)
+            check_crc(i);
+    }
+    for (std::uint8_t ok : crc_ok) {
+        if (!ok)
             return CkptStatus::kCrcMismatch;
     }
     bytes_ = std::move(bytes);
@@ -392,7 +402,7 @@ CkptReader::parse(std::vector<std::uint8_t> bytes)
 }
 
 CkptStatus
-CkptReader::read_file(const std::string &path)
+CkptReader::read_file(const std::string &path, ThreadPool *pool)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
@@ -409,7 +419,7 @@ CkptReader::read_file(const std::string &path)
         std::fclose(f);
         return CkptStatus::kIoError;
     }
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(length));
+    ByteBuffer bytes(static_cast<std::size_t>(length));
     std::size_t got =
         bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
     bool complete = got == bytes.size() && std::fgetc(f) == EOF &&
@@ -417,7 +427,7 @@ CkptReader::read_file(const std::string &path)
     std::fclose(f);
     if (!complete)
         return CkptStatus::kIoError;
-    return parse(std::move(bytes));
+    return parse(std::move(bytes), pool);
 }
 
 std::optional<std::span<const std::uint8_t>>

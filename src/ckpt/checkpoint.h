@@ -41,7 +41,9 @@
 #include <vector>
 
 #include "util/age_histogram.h"
+#include "util/byte_buffer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sdfm {
 
@@ -130,8 +132,8 @@ class Serializer
     /** Sparse (nonzero buckets only) age-histogram encoding. */
     void put_age_histogram(const AgeHistogram &h);
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
+    const ByteBuffer &bytes() const { return buf_; }
+    ByteBuffer take() { return std::move(buf_); }
 
   private:
     template <typename T>
@@ -146,7 +148,7 @@ class Serializer
         }
     }
 
-    std::vector<std::uint8_t> buf_;
+    ByteBuffer buf_;
 };
 
 /**
@@ -305,21 +307,21 @@ class CkptWriter
 {
   public:
     /** Add a section; names must be unique. Computes its CRC. */
-    void add_section(std::string name, std::vector<std::uint8_t> payload);
+    void add_section(std::string name, ByteBuffer payload);
 
     /**
      * Add a section whose CRC the caller already computed, so payloads
      * encoded in parallel are also checksummed in parallel. @p crc
      * must equal crc32() of @p payload.
      */
-    void add_section(std::string name, std::vector<std::uint8_t> payload,
+    void add_section(std::string name, ByteBuffer payload,
                      std::uint32_t crc);
 
     /**
      * The container bytes (sections sorted by name). The reference
      * encoding: write_file() streams exactly these bytes.
      */
-    std::vector<std::uint8_t> encode() const;
+    ByteBuffer encode() const;
 
     /**
      * Stream the container to @p path.tmp, then rename it over
@@ -333,7 +335,7 @@ class CkptWriter
     struct Section
     {
         std::string name;
-        std::vector<std::uint8_t> payload;
+        ByteBuffer payload;
         std::uint32_t crc;
     };
 
@@ -357,6 +359,10 @@ struct CkptSection
  * lengths, ascending unique names, no trailing bytes), then every
  * section CRC, so a file that is both truncated and bit-flipped
  * reports kTruncated. After kOk, every section has passed both.
+ *
+ * Given a pool, the section CRCs are checked on it, one task per
+ * section; they read only the container bytes. Without one they are
+ * checked in file order on the calling thread.
  */
 class CkptReader
 {
@@ -367,10 +373,12 @@ class CkptReader
     CkptReader &operator=(const CkptReader &) = delete;
 
     /** Validate @p bytes; on kOk, populates this reader. */
-    CkptStatus parse(std::vector<std::uint8_t> bytes);
+    CkptStatus parse(ByteBuffer bytes,
+                     ThreadPool *pool = nullptr);
 
     /** Read and validate a file. */
-    CkptStatus read_file(const std::string &path);
+    CkptStatus read_file(const std::string &path,
+                         ThreadPool *pool = nullptr);
 
     /** Section payload by name; empty optional when absent. */
     std::optional<std::span<const std::uint8_t>>
@@ -379,7 +387,7 @@ class CkptReader
     const std::vector<CkptSection> &sections() const { return sections_; }
 
   private:
-    std::vector<std::uint8_t> bytes_;
+    ByteBuffer bytes_;
     std::vector<CkptSection> sections_;
 };
 

@@ -243,7 +243,7 @@ FarMemorySystem::checkpoint(const std::string &path) const
     }
     // Clusters are independent, so their sections (the bulk of the
     // file) are encoded and checksummed on the stepping pool.
-    std::vector<std::vector<std::uint8_t>> payloads(clusters_.size());
+    std::vector<ByteBuffer> payloads(clusters_.size());
     std::vector<std::uint32_t> crcs(clusters_.size());
     auto encode = [&](std::size_t c) {
         Serializer s;
@@ -286,8 +286,10 @@ FarMemorySystem::checkpoint(const std::string &path) const
 CkptStatus
 FarMemorySystem::restore(const std::string &path)
 {
+    // Section CRCs are checked on this fleet's pool: they read only
+    // the file buffer and allocate no fleet state.
     CkptReader reader;
-    CkptStatus status = reader.read_file(path);
+    CkptStatus status = reader.read_file(path, pool_.get());
     if (status != CkptStatus::kOk)
         return status;
 

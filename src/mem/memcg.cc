@@ -1,7 +1,5 @@
 #include "mem/memcg.h"
 
-#include <algorithm>
-
 #include "mem/far_tier.h"
 #include "mem/tier_stack.h"
 #include "mem/zswap.h"
@@ -99,39 +97,33 @@ Memcg::set_unevictable(PageId p, bool unevictable)
         pages_.clear(p, kPageUnevictable);
 }
 
-ZsHandle
-Memcg::zswap_handle(PageId p) const
-{
-    auto it = zswap_handles_.find(p);
-    return it == zswap_handles_.end() ? 0 : it->second;
-}
-
 void
 Memcg::set_zswap_handle(PageId p, ZsHandle h)
 {
     SDFM_ASSERT(h != 0);
-    auto [it, inserted] = zswap_handles_.emplace(p, h);
-    SDFM_ASSERT(inserted);
+    SDFM_ASSERT(h <= UINT32_MAX);
+    if (zswap_handles_.empty())
+        zswap_handles_.assign(pages_.size(), 0);
+    SDFM_ASSERT(zswap_handles_[p] == 0);
+    zswap_handles_[p] = static_cast<std::uint32_t>(h);
 }
 
 void
 Memcg::clear_zswap_handle(PageId p)
 {
-    std::size_t erased = zswap_handles_.erase(p);
-    SDFM_ASSERT(erased == 1);
+    SDFM_ASSERT(zswap_handle(p) != 0);
+    zswap_handles_[p] = 0;
 }
 
 std::vector<PageId>
 Memcg::zswap_page_ids() const
 {
     std::vector<PageId> ids;
-    ids.reserve(zswap_handles_.size());
-    // sdfm-lint: allow(unordered-iter) -- ids are sorted before they
-    // are returned, so teardown (drop_all) order is deterministic
-    // regardless of hash-map iteration order.
-    for (const auto &[p, h] : zswap_handles_)
-        ids.push_back(p);
-    std::sort(ids.begin(), ids.end());
+    ids.reserve(zswap_pages_);
+    for (PageId p = 0; p < zswap_handles_.size(); ++p) {
+        if (zswap_handles_[p] != 0)
+            ids.push_back(p);
+    }
     return ids;
 }
 
@@ -201,6 +193,9 @@ Memcg::check_invariants() const
     SDFM_INVARIANT(page_tier_.empty() ||
                        page_tier_.size() == pages_.size(),
                    "the per-page tier index covers the address space");
+    SDFM_INVARIANT(zswap_handles_.empty() ||
+                       zswap_handles_.size() == pages_.size(),
+                   "the per-page handle plane covers the address space");
     std::uint64_t in_zswap = 0;
     std::uint64_t in_tier = 0;
     for (PageId p = 0; p < num_pages(); ++p) {
@@ -245,8 +240,6 @@ Memcg::check_invariants() const
     SDFM_INVARIANT(resident_pages_ + zswap_pages_ + tier_pages_ ==
                        num_pages(),
                    "every page is resident or in exactly one far tier");
-    SDFM_INVARIANT(zswap_handles_.size() == zswap_pages_,
-                   "handle map holds exactly the zswap-resident pages");
 
     std::uint64_t huge = 0;
     for (bool h : region_huge_)
@@ -319,21 +312,20 @@ Memcg::ckpt_save(Serializer &s) const
     // count, then per-page (age, flags, content, version) records.
     pages_.ckpt_save(s);
 
-    // In page-id order, so the wire bytes are independent of hash-map
-    // iteration order: the pages flagged in zswap are exactly the
-    // map's keys (ckpt_load rejects any other state).
-    s.put_u64(zswap_handles_.size());
-    std::size_t written = 0;
-    for (PageId p = 0; p < num_pages(); ++p) {
-        if (!pages_.test(p, kPageInZswap))
+    // (page, handle) records in page-id order: the pages flagged in
+    // zswap are exactly the pages with a handle (ckpt_load rejects any
+    // other state).
+    s.put_u64(zswap_pages_);
+    std::uint64_t written = 0;
+    for (PageId p = 0; p < zswap_handles_.size(); ++p) {
+        if (zswap_handles_[p] == 0)
             continue;
-        auto it = zswap_handles_.find(p);
-        SDFM_ASSERT(it != zswap_handles_.end());
+        SDFM_ASSERT(pages_.test(p, kPageInZswap));
         s.put_u32(p);
-        s.put_u64(it->second);
+        s.put_u64(zswap_handles_[p]);
         ++written;
     }
-    SDFM_ASSERT(written == zswap_handles_.size());
+    SDFM_ASSERT(written == zswap_pages_);
 
     s.put_age_histogram(cold_hist_);
     s.put_age_histogram(promo_hist_);
@@ -420,20 +412,26 @@ Memcg::ckpt_load(Deserializer &d)
         return false;
     std::size_t num = pages_.size();
 
+    // Handles are checked against the arena by Machine::ckpt_load,
+    // once the zswap section has loaded.
     zswap_handles_.clear();
     std::size_t num_handles = d.get_size(num, 12);
     if (!d.ok())
         return false;
+    if (num_handles > 0)
+        zswap_handles_.assign(num, 0);
     PageId prev_page = 0;
     for (std::size_t i = 0; i < num_handles; ++i) {
         PageId p = d.get_u32();
         ZsHandle h = d.get_u64();
-        if (!d.ok() || h == 0 || p >= num || (i > 0 && p <= prev_page))
+        if (!d.ok() || h == 0 || h > UINT32_MAX || p >= num ||
+            (i > 0 && p <= prev_page)) {
             return false;
+        }
         if (!pages_.test(p, kPageInZswap))
             return false;
         prev_page = p;
-        zswap_handles_.emplace(p, h);
+        zswap_handles_[p] = static_cast<std::uint32_t>(h);
     }
 
     d.get_age_histogram(cold_hist_);
@@ -490,9 +488,9 @@ Memcg::ckpt_load(Deserializer &d)
         return false;
 
     // Residency counters must reconcile with the restored page flags
-    // and the handle map must cover exactly the zswap-flagged pages.
+    // and the handles must cover exactly the zswap-flagged pages.
     if (zswap_pages_ != flagged_zswap || tier_pages_ != flagged_tier ||
-        zswap_handles_.size() != flagged_zswap ||
+        num_handles != flagged_zswap ||
         resident_pages_ + zswap_pages_ + tier_pages_ != num) {
         return false;
     }

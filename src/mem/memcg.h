@@ -11,7 +11,6 @@
 #define SDFM_MEM_MEMCG_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -302,11 +301,27 @@ class Memcg : public Checkpointable
     // -- bookkeeping used by Zswap ---------------------------------
 
     /** zswap handle for a page (0 if not stored). */
-    ZsHandle zswap_handle(PageId p) const;
+    ZsHandle
+    zswap_handle(PageId p) const
+    {
+        return zswap_handles_.empty() ? 0 : zswap_handles_[p];
+    }
+
+    /** Record @p h (non-zero, below 2^32) for a page with no handle. */
     void set_zswap_handle(PageId p, ZsHandle h);
     void clear_zswap_handle(PageId p);
 
-    /** Iterate pages currently in zswap (for teardown). */
+    /**
+     * The per-page handle plane: one u32 per page, 0 meaning none.
+     * Empty until the first zswap store (or a restore that carries
+     * handles), so cgroups that never reach zswap pay nothing.
+     */
+    const std::vector<std::uint32_t> &zswap_handles() const
+    {
+        return zswap_handles_;
+    }
+
+    /** Pages currently in zswap, ascending (for teardown). */
     std::vector<PageId> zswap_page_ids() const;
 
     /** Adjust residency counters (called by Zswap on store/load). */
@@ -335,7 +350,7 @@ class Memcg : public Checkpointable
 
     /**
      * Checkpointable: snapshots the complete cgroup (identity,
-     * per-page metadata, zswap-handle map in sorted page order, both
+     * per-page metadata, zswap handles in ascending page order, both
      * histograms, residency counters, agent knobs, huge-region
      * bitmap, and cumulative stats). ckpt_load() cross-checks the
      * residency counters against the restored page flags.
@@ -354,10 +369,15 @@ class Memcg : public Checkpointable
     std::uint64_t content_seed_;
     SimTime start_time_;
     PageTable pages_;
+    /**
+     * Per-page zsmalloc handle, 0 for pages not in zswap; allocated
+     * lazily like page_tier_. A handle is an arena entry index, so it
+     * fits the u32 a swapped-out PTE would hold.
+     */
     // sdfm-state: derived(mirror of the arena entry table: per-page
     // in-zswap flags and the arena alloc/free aggregates are both
     // digested, so divergence here cannot hide)
-    std::unordered_map<PageId, ZsHandle> zswap_handles_;
+    std::vector<std::uint32_t> zswap_handles_;
     AgeHistogram cold_hist_;
     AgeHistogram promo_hist_;
     std::uint64_t resident_pages_ = 0;

@@ -1,6 +1,5 @@
 #include "mem/zswap.h"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -15,7 +14,8 @@ Zswap::Zswap(Compressor *compressor, std::uint64_t rng_seed,
              bool verify_roundtrip)
     : compressor_(compressor),
       arena_(/*keep_payload_bytes=*/verify_roundtrip), rng_(rng_seed),
-      verify_roundtrip_(verify_roundtrip)
+      verify_roundtrip_(verify_roundtrip),
+      checksums_(arena_.handle_limit(), 0)
 {
     SDFM_ASSERT(compressor_ != nullptr);
 }
@@ -109,8 +109,10 @@ Zswap::store(Memcg &cg, PageId p)
     ZsHandle handle =
         have_bytes ? arena_.store(result.compressed_size, payload.data())
                    : arena_.store(result.compressed_size);
-    checksums_.emplace(handle, entry_checksum(cg.content_seed_of(p),
-                                              result.compressed_size));
+    if (handle >= checksums_.size())
+        checksums_.resize(arena_.handle_limit());
+    checksums_[handle] =
+        entry_checksum(cg.content_seed_of(p), result.compressed_size);
     cg.set_zswap_handle(p, handle);
     cg.note_stored_in_zswap(p);
     ++cg.stats().zswap_stores;
@@ -130,7 +132,7 @@ Zswap::load(Memcg &cg, PageId p)
 {
     SDFM_ASSERT(cg.page_test(p, kPageInZswap));
     ZsHandle handle = cg.zswap_handle(p);
-    SDFM_ASSERT(handle != 0);
+    SDFM_ASSERT(arena_.is_live(handle));
 
     std::uint32_t payload_size = arena_.payload_size(handle);
     double cycles = compressor_->decompress_cycles(payload_size);
@@ -143,10 +145,8 @@ Zswap::load(Memcg &cg, PageId p)
     // entry is counted as poisoned and the page re-faults from
     // backing store instead of aborting the fleet (the contents are
     // regenerable; only the compressed copy was damaged).
-    auto ck = checksums_.find(handle);
-    SDFM_ASSERT(ck != checksums_.end());
-    bool poisoned =
-        ck->second != entry_checksum(cg.content_seed_of(p), payload_size);
+    bool poisoned = checksums_[handle] !=
+                    entry_checksum(cg.content_seed_of(p), payload_size);
     if (poisoned) {
         ++stats_.poisoned_entries;
         ++cg.stats().far_refaults;
@@ -181,7 +181,6 @@ Zswap::load(Memcg &cg, PageId p)
 
     SDFM_ASSERT(cg.stats().compressed_bytes_stored >= payload_size);
     cg.stats().compressed_bytes_stored -= payload_size;
-    checksums_.erase(ck);
     arena_.release(handle);
     cg.clear_zswap_handle(p);
     cg.note_loaded_from_zswap(p);
@@ -212,20 +211,19 @@ Zswap::entry_checksum(std::uint64_t content_seed,
 bool
 Zswap::corrupt_entry(Rng &rng)
 {
-    if (checksums_.empty())
+    if (arena_.live_objects() == 0)
         return false;
-    // Pick the victim from a *sorted* handle list: selecting by
-    // position in the unordered map would make the corrupted entry --
-    // and with it the whole fault trajectory -- depend on hash-table
-    // iteration order, which varies across standard libraries.
-    std::vector<ZsHandle> handles;
-    handles.reserve(checksums_.size());
-    // sdfm-lint: allow(unordered-iter) -- keys are sorted before use,
-    // so the iteration order cannot leak into the trajectory.
-    for (const auto &[handle, checksum] : checksums_)
-        handles.push_back(handle);
-    std::sort(handles.begin(), handles.end());
-    ZsHandle victim = handles[rng.next_below(handles.size())];
+    // The victim is the k-th live handle in ascending order, so the
+    // fault trajectory depends only on the arena's state.
+    std::uint64_t k = rng.next_below(arena_.live_objects());
+    ZsHandle victim = 0;
+    for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
+        if (arena_.is_live(h) && k-- == 0) {
+            victim = h;
+            break;
+        }
+    }
+    SDFM_ASSERT(victim != 0);
     checksums_[victim] ^= 0xDEADBEEFCAFEF00DULL;
     ++stats_.corruptions_injected;
     return true;
@@ -237,8 +235,8 @@ Zswap::check_invariants() const
     if constexpr (!kInvariantsEnabled)
         return;
     arena_.check_invariants();
-    SDFM_INVARIANT(checksums_.size() == arena_.live_objects(),
-                   "every live arena entry has one integrity checksum");
+    SDFM_INVARIANT(checksums_.size() == arena_.handle_limit(),
+                   "the checksum table spans every arena handle");
     SDFM_INVARIANT(stats_.stores >= stats_.promotions,
                    "promotions never exceed stores");
 }
@@ -248,11 +246,10 @@ Zswap::drop(Memcg &cg, PageId p)
 {
     SDFM_ASSERT(cg.page_test(p, kPageInZswap));
     ZsHandle handle = cg.zswap_handle(p);
-    SDFM_ASSERT(handle != 0);
+    SDFM_ASSERT(arena_.is_live(handle));
     std::uint32_t payload = arena_.payload_size(handle);
     SDFM_ASSERT(cg.stats().compressed_bytes_stored >= payload);
     cg.stats().compressed_bytes_stored -= payload;
-    checksums_.erase(handle);
     arena_.release(handle);
     cg.clear_zswap_handle(p);
     cg.note_loaded_from_zswap(p);
@@ -281,21 +278,17 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
-    // In handle order, so the wire bytes are independent of hash-map
-    // iteration order: the arena's live handles are exactly the map's
-    // keys (ckpt_load rejects any other state).
-    s.put_u64(checksums_.size());
-    std::size_t written = 0;
+    // (handle, checksum) records for the live handles, ascending.
+    s.put_u64(arena_.live_objects());
+    std::uint64_t written = 0;
     for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
         if (!arena_.is_live(h))
             continue;
-        auto it = checksums_.find(h);
-        SDFM_ASSERT(it != checksums_.end());
         s.put_u64(h);
-        s.put_u64(it->second);
+        s.put_u64(checksums_[h]);
         ++written;
     }
-    SDFM_ASSERT(written == checksums_.size());
+    SDFM_ASSERT(written == arena_.live_objects());
 }
 
 bool
@@ -316,7 +309,7 @@ Zswap::ckpt_load(Deserializer &d)
     if (!d.ok() || verify != verify_roundtrip_)
         return false;
 
-    checksums_.clear();
+    checksums_.assign(arena_.handle_limit(), 0);
     std::size_t num = d.get_size(arena_.live_objects(), 16);
     if (!d.ok() || num != arena_.live_objects())
         return false;
@@ -329,7 +322,7 @@ Zswap::ckpt_load(Deserializer &d)
             return false;
         }
         prev = handle;
-        checksums_.emplace(handle, sum);
+        checksums_[handle] = sum;
     }
     update_arena_metrics();
     return true;

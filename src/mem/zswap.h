@@ -14,7 +14,7 @@
 #define SDFM_MEM_ZSWAP_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "compression/compressor.h"
 #include "mem/far_tier.h"
@@ -147,10 +147,12 @@ class Zswap : public FarTier
     Compressor &compressor() { return *compressor_; }
 
     /**
-     * Whole-store consistency check (SDFM_INVARIANT tier): every live
-     * arena object has exactly one integrity checksum, and the arena's
-     * own accounting reconciles (ZsmallocArena::check_invariants). A
-     * no-op unless the build defines SDFM_CHECK_INVARIANTS.
+     * Whole-store consistency check (SDFM_INVARIANT tier): the checksum
+     * table spans every arena handle, and the arena's own accounting
+     * reconciles (ZsmallocArena::check_invariants). That each live
+     * handle belongs to exactly one page is checked by the owning
+     * Machine, which sees every cgroup. A no-op unless the build
+     * defines SDFM_CHECK_INVARIANTS.
      */
     void check_invariants() const;
 
@@ -185,8 +187,12 @@ class Zswap : public FarTier
     ZswapStats stats_;
     Rng rng_;
     bool verify_roundtrip_;
-    /** Per-entry integrity checksums, keyed by live arena handle. */
-    std::unordered_map<ZsHandle, std::uint64_t> checksums_;
+    /**
+     * Per-entry integrity checksums indexed by arena handle and sized
+     * to arena_.handle_limit(); only live handles' slots mean anything
+     * (liveness is the arena's).
+     */
+    std::vector<std::uint64_t> checksums_;
 
     // Cached registry metrics (null when unbound); the backing
     // ZswapStats counters are serialized and digested.

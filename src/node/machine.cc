@@ -265,13 +265,15 @@ Machine::step(SimTime now)
         zswap_->compact();
 
     // Machine-level roll-up metrics, once per control period.
-    metrics_->counter("machine.accesses").inc(result.accesses);
-    metrics_->counter("machine.promotions").inc(result.promotions);
-    metrics_->gauge("machine.resident_pages")
+    metrics_->counter("machine.accesses", m_.accesses)
+        .inc(result.accesses);
+    metrics_->counter("machine.promotions", m_.promotions)
+        .inc(result.promotions);
+    metrics_->gauge("machine.resident_pages", m_.resident_pages)
         .set(static_cast<double>(resident_pages()));
-    metrics_->gauge("machine.cold_pages")
+    metrics_->gauge("machine.cold_pages", m_.cold_pages)
         .set(static_cast<double>(cold_pages_min_threshold()));
-    metrics_->gauge("machine.far_memory_pages")
+    metrics_->gauge("machine.far_memory_pages", m_.far_memory_pages)
         .set(static_cast<double>(far_memory_pages()));
     for (std::size_t i = 0; i < tier_metrics_.size(); ++i) {
         const FarTier &tier = tiers_.tier(i + 1);
@@ -303,6 +305,8 @@ Machine::check_invariants() const
     tiers_.check_invariants();
     SDFM_INVARIANT(zswap_pages == zswap_->stored_pages(),
                    "per-job zswap residency sums to the store's count");
+    SDFM_INVARIANT(zswap_handles_match_arena(),
+                   "page handles cover exactly the live arena handles");
     SDFM_INVARIANT(tiers_in_range,
                    "every tier-resident page names a configured tier");
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
@@ -316,6 +320,32 @@ Machine::check_invariants() const
                        used_pages() - donated_pages_ <=
                            config_.dram_pages,
                    "post-step DRAM usage within capacity");
+}
+
+bool
+Machine::zswap_handles_match_arena() const
+{
+    // One pass over the dense handle planes with a bitset over the
+    // arena's handle space: every handle a page holds must be live
+    // and claimed once, and the claims must number the live objects.
+    const ZsmallocArena &arena = zswap_->arena();
+    std::vector<std::uint64_t> claimed((arena.handle_limit() + 63) / 64,
+                                       0);
+    std::uint64_t count = 0;
+    for (const auto &job : jobs_) {
+        for (std::uint32_t h : job->memcg().zswap_handles()) {
+            if (h == 0)
+                continue;
+            if (!arena.is_live(h))
+                return false;
+            const std::uint64_t bit = std::uint64_t{1} << (h % 64);
+            if (claimed[h / 64] & bit)
+                return false;
+            claimed[h / 64] |= bit;
+            ++count;
+        }
+    }
+    return count == arena.live_objects();
 }
 
 std::uint64_t
@@ -384,7 +414,8 @@ Machine::handle_pressure(MachineStepResult *result)
             static_cast<double>(config_.dram_pages));
         if (free_pages() < watermark) {
             ++counters_.direct_reclaims;
-            metrics_->counter("machine.direct_reclaims").inc();
+            metrics_->counter("machine.direct_reclaims", m_.direct_reclaims)
+                .inc();
             std::uint64_t want = 2 * watermark - free_pages();
             for (auto &job : jobs_) {
                 if (want == 0)
@@ -438,7 +469,7 @@ Machine::handle_pressure(MachineStepResult *result)
         remove_job(id);
         result->evicted.push_back(id);
         ++counters_.evictions;
-        metrics_->counter("machine.evictions").inc();
+        metrics_->counter("machine.evictions", m_.evictions).inc();
     }
 }
 
@@ -600,7 +631,8 @@ Machine::apply_faults(SimTime now, SimTime period_end,
     if (events.empty())
         return;
     result->faults_injected += events.size();
-    metrics_->counter("fault.injected").inc(events.size());
+    metrics_->counter("fault.injected", m_.fault_injected)
+        .inc(events.size());
 
     // Each event targets the shallowest tier of the matching kind --
     // the legacy single-tier behaviour; deeper duplicates are only
@@ -614,7 +646,8 @@ Machine::apply_faults(SimTime now, SimTime period_end,
             RemoteTier *remote =
                 static_cast<RemoteTier *>(&tiers_.tier(ri));
             ++result->donor_failures;
-            metrics_->counter("fault.donor_failures").inc();
+            metrics_->counter("fault.donor_failures", m_.donor_failures)
+                .inc();
             std::size_t before = result->evicted.size();
             if (remote->pooled()) {
                 // Pooled mode: the victim is a live lease, drawn over
@@ -628,7 +661,7 @@ Machine::apply_faults(SimTime now, SimTime period_end,
                         remote->params().num_donors));
                 kill_victims(remote->fail_donor(donor), result);
             }
-            metrics_->counter("fault.jobs_killed")
+            metrics_->counter("fault.jobs_killed", m_.jobs_killed)
                 .inc(result->evicted.size() - before);
             break;
           }
@@ -638,7 +671,8 @@ Machine::apply_faults(SimTime now, SimTime period_end,
                 if (zswap_->corrupt_entry(fault_.target_rng()))
                     ++corrupted;
             }
-            metrics_->counter("fault.corruptions").inc(corrupted);
+            metrics_->counter("fault.corruptions", m_.corruptions)
+                .inc(corrupted);
             break;
           }
           case FaultKind::kRemoteDegrade: {
@@ -679,11 +713,15 @@ Machine::apply_faults(SimTime now, SimTime period_end,
                 std::uint64_t cap_before = nvm->capacity_pages();
                 std::uint64_t overflow = nvm->lose_capacity(
                     config_.fault.capacity_loss_frac);
-                metrics_->counter("fault.nvm_capacity_lost_pages")
+                metrics_
+                    ->counter("fault.nvm_capacity_lost_pages",
+                              m_.nvm_capacity_lost_pages)
                     .inc(cap_before - nvm->capacity_pages());
                 std::uint64_t spilled =
                     spill_tier_overflow(ni, overflow);
-                metrics_->counter("fault.nvm_spillover_pages")
+                metrics_
+                    ->counter("fault.nvm_spillover_pages",
+                              m_.nvm_spillover_pages)
                     .inc(spilled);
             }
             break;
@@ -721,11 +759,15 @@ Machine::update_fault_plane(MachineStepResult *result)
                 static_cast<RemoteTier *>(e.tier)->stats();
             fail_delta += s.read_failures - e.seen_read_failures;
             if (s.read_retries != e.seen_read_retries) {
-                metrics_->counter("fault.remote_read_retries")
+                metrics_
+                    ->counter("fault.remote_read_retries",
+                              m_.remote_read_retries)
                     .inc(s.read_retries - e.seen_read_retries);
             }
             if (s.reads_exhausted != e.seen_reads_exhausted) {
-                metrics_->counter("fault.remote_reads_exhausted")
+                metrics_
+                    ->counter("fault.remote_reads_exhausted",
+                              m_.remote_reads_exhausted)
                     .inc(s.reads_exhausted - e.seen_reads_exhausted);
             }
             e.seen_read_failures = s.read_failures;
@@ -736,7 +778,9 @@ Machine::update_fault_plane(MachineStepResult *result)
                 static_cast<NvmTier *>(e.tier)->stats();
             fail_delta += s.media_errors - e.seen_media_errors;
             if (s.media_errors != e.seen_media_errors) {
-                metrics_->counter("fault.nvm_media_errors")
+                metrics_
+                    ->counter("fault.nvm_media_errors",
+                              m_.nvm_media_errors)
                     .inc(s.media_errors - e.seen_media_errors);
             }
             e.seen_media_errors = s.media_errors;
@@ -745,7 +789,10 @@ Machine::update_fault_plane(MachineStepResult *result)
             continue;
         if (fail_delta > 0) {
             if (e.breaker.record_failure())
-                metrics_->counter("fault.tier_breaker_opens").inc();
+                metrics_
+                    ->counter("fault.tier_breaker_opens",
+                              m_.tier_breaker_opens)
+                    .inc();
         } else {
             e.breaker.record_success();
         }
@@ -755,7 +802,9 @@ Machine::update_fault_plane(MachineStepResult *result)
         // Historical gauge name for the first deep tier; explicit
         // stacks additionally get per-label breaker gauges.
         if (i == 1)
-            metrics_->gauge("fault.tier_breaker_state").set(state);
+            metrics_
+                ->gauge("fault.tier_breaker_state", m_.tier_breaker_state)
+                .set(state);
         if (!tier_metrics_.empty() &&
             tier_metrics_[i - 1].breaker_state != nullptr) {
             tier_metrics_[i - 1].breaker_state->set(state);
@@ -855,7 +904,7 @@ Machine::ckpt_load(Deserializer &d)
         jobs_.push_back(std::move(job));
     }
 
-    if (!zswap_->ckpt_load(d))
+    if (!zswap_->ckpt_load(d) || !zswap_handles_match_arena())
         return false;
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
         FarTier &tier = tiers_.tier(i);

@@ -329,7 +329,8 @@ class Machine
      * job's cgroup reconciles (Memcg::check_invariants), the zswap
      * store and its arena reconcile, and the cross-structure sums
      * agree -- per-job zswap/NVM residency vs the store and tier
-     * counters, and DRAM capacity after pressure handling. Called at
+     * counters, the page handles vs the live arena handles (a
+     * bijection), and DRAM capacity after pressure handling. Called at
      * the end of every step(); a no-op unless the build defines
      * SDFM_CHECK_INVARIANTS.
      */
@@ -352,13 +353,21 @@ class Machine
      * last -- the metric registry. ckpt_load() expects a freshly
      * constructed Machine with the identical MachineConfig; it
      * cross-checks the restored accounting (per-job far-memory
-     * residency vs store/tier occupancy, agent job membership, DRAM
-     * capacity) and returns false on any disagreement.
+     * residency vs store/tier occupancy, every zswap page's handle
+     * live and claimed once, agent job membership, DRAM capacity)
+     * and returns false on any disagreement.
      */
     void ckpt_save(Serializer &s) const;
     bool ckpt_load(Deserializer &d);
 
   private:
+    /**
+     * True iff the jobs' zswap handles and the arena's live handles
+     * are in bijection: each page handle is live, no two pages share
+     * one, and every live handle belongs to some page.
+     */
+    bool zswap_handles_match_arena() const;
+
     void handle_pressure(MachineStepResult *result);
     std::vector<Memcg *> memcgs();
 
@@ -453,6 +462,34 @@ class Machine
     // sdfm-state: non-semantic(registry-owned metric handles; the
     // backing tier occupancy and breaker state are digested)
     std::vector<TierMetricSet> tier_metrics_;
+
+    /** Machine-level and fault-plane metric handles, each resolved
+     *  on its first update (MetricRegistry::counter(name, slot)). */
+    struct MachineMetricSet
+    {
+        Counter *accesses = nullptr;
+        Counter *promotions = nullptr;
+        Gauge *resident_pages = nullptr;
+        Gauge *cold_pages = nullptr;
+        Gauge *far_memory_pages = nullptr;
+        Counter *direct_reclaims = nullptr;
+        Counter *evictions = nullptr;
+        Counter *fault_injected = nullptr;
+        Counter *donor_failures = nullptr;
+        Counter *jobs_killed = nullptr;
+        Counter *corruptions = nullptr;
+        Counter *nvm_capacity_lost_pages = nullptr;
+        Counter *nvm_spillover_pages = nullptr;
+        Counter *remote_read_retries = nullptr;
+        Counter *remote_reads_exhausted = nullptr;
+        Counter *nvm_media_errors = nullptr;
+        Counter *tier_breaker_opens = nullptr;
+        Gauge *tier_breaker_state = nullptr;
+    };
+    // sdfm-state: non-semantic(registry-owned metric handles; the
+    // counters and fault-plane stats they mirror are serialized and
+    // digested)
+    MachineMetricSet m_;
 };
 
 }  // namespace sdfm

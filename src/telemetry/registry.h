@@ -53,6 +53,28 @@ class MetricRegistry
     Gauge &gauge(const std::string &name);
 
     /**
+     * counter(name) / gauge(name) cached in @p slot: the locked lookup
+     * runs only while @p slot is null. For hot paths whose metrics
+     * must stay unregistered until they first fire -- a registered
+     * metric shows in snapshots and checkpoints even at zero.
+     */
+    Counter &
+    counter(const char *name, Counter *&slot)
+    {
+        if (slot == nullptr)
+            slot = &counter(std::string(name));
+        return *slot;
+    }
+
+    Gauge &
+    gauge(const char *name, Gauge *&slot)
+    {
+        if (slot == nullptr)
+            slot = &gauge(std::string(name));
+        return *slot;
+    }
+
+    /**
      * The histogram named @p name, created on first use with
      * @p upper_bounds. Later lookups of an existing histogram must
      * pass identical bounds (the buckets are part of the metric's

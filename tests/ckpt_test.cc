@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -31,6 +32,7 @@
 #include "node/threshold_controller.h"
 #include "telemetry/registry.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/job.h"
 #include "workload/job_profile.h"
 #include "workload/trace.h"
@@ -92,7 +94,7 @@ TEST(CkptContainer, RoundTripsSections)
     writer.add_section("zebra", {1, 2, 3});
     writer.add_section("alpha", {9});
     writer.add_section("mid", {});
-    std::vector<std::uint8_t> bytes = writer.encode();
+    ByteBuffer bytes = writer.encode();
 
     CkptReader reader;
     ASSERT_EQ(reader.parse(bytes), CkptStatus::kOk);
@@ -104,8 +106,8 @@ TEST(CkptContainer, RoundTripsSections)
     std::optional<std::span<const std::uint8_t>> zebra =
         reader.section("zebra");
     ASSERT_TRUE(zebra.has_value());
-    EXPECT_EQ(std::vector<std::uint8_t>(zebra->begin(), zebra->end()),
-              (std::vector<std::uint8_t>{1, 2, 3}));
+    EXPECT_EQ(ByteBuffer(zebra->begin(), zebra->end()),
+              (ByteBuffer{1, 2, 3}));
     EXPECT_FALSE(reader.section("absent").has_value());
 }
 
@@ -113,30 +115,30 @@ TEST(CkptContainer, RejectsTamperedBytes)
 {
     CkptWriter writer;
     writer.add_section("data", {10, 20, 30, 40});
-    std::vector<std::uint8_t> good = writer.encode();
+    ByteBuffer good = writer.encode();
 
     {  // truncation anywhere in the tail
         for (std::size_t cut = 1; cut <= 6; ++cut) {
-            std::vector<std::uint8_t> bad(good.begin(),
+            ByteBuffer bad(good.begin(),
                                           good.end() - static_cast<long>(cut));
             CkptReader reader;
             EXPECT_EQ(reader.parse(bad), CkptStatus::kTruncated);
         }
     }
     {  // payload flip -> CRC mismatch
-        std::vector<std::uint8_t> bad = good;
+        ByteBuffer bad = good;
         bad[bad.size() - 6] ^= 0x01;  // inside payload, before the CRC
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kCrcMismatch);
     }
     {  // magic flip
-        std::vector<std::uint8_t> bad = good;
+        ByteBuffer bad = good;
         bad[0] ^= 0xFF;
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kBadMagic);
     }
     {  // unknown version (u32 at offset 8)
-        std::vector<std::uint8_t> bad = good;
+        ByteBuffer bad = good;
         bad[8] ^= 0x02;
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kBadVersion);
@@ -168,7 +170,7 @@ TEST(CkptCrc, KnownAnswer)
 TEST(CkptCrc, SlicedMatchesBytewiseAtEveryLengthAndAlignment)
 {
     Rng rng(7);
-    std::vector<std::uint8_t> buf(257 + 8);
+    ByteBuffer buf(257 + 8);
     for (std::uint8_t &b : buf)
         b = static_cast<std::uint8_t>(rng.next_u64());
     for (std::size_t offset = 0; offset < 8; ++offset) {
@@ -187,7 +189,7 @@ TEST(CkptSerializer, MultiByteValuesAreLittleEndian)
     s.put_u32(0x03040506u);
     s.put_u64(0x0708090A0B0C0D0EULL);
     EXPECT_EQ(s.bytes(),
-              (std::vector<std::uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03,
+              (ByteBuffer{0x02, 0x01, 0x06, 0x05, 0x04, 0x03,
                                          0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09,
                                          0x08, 0x07}));
     Deserializer d(s.bytes());
@@ -215,12 +217,12 @@ TEST(CkptSerializer, BulkBytesRoundTrip)
     Deserializer d(s.bytes());
     EXPECT_EQ(d.get_u8(), 0xAA);
     std::span<const std::uint8_t> got = d.get_bytes(5);
-    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
-              (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(ByteBuffer(got.begin(), got.end()),
+              (ByteBuffer{1, 2, 3, 4, 5}));
     EXPECT_TRUE(d.get_bytes(0).empty());
     got = d.get_bytes(3);
-    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
-              (std::vector<std::uint8_t>{7, 8, 9}));
+    EXPECT_EQ(ByteBuffer(got.begin(), got.end()),
+              (ByteBuffer{7, 8, 9}));
     EXPECT_EQ(d.get_u32(), 0xDEADBEEFu);
     EXPECT_TRUE(d.ok());
     EXPECT_TRUE(d.at_end());
@@ -228,7 +230,7 @@ TEST(CkptSerializer, BulkBytesRoundTrip)
 
 TEST(CkptSerializer, ShortReadsFailAndConsumeTheStream)
 {
-    const std::vector<std::uint8_t> bytes = {1, 2, 3};
+    const ByteBuffer bytes = {1, 2, 3};
     {  // bulk read one byte too long
         Deserializer d(bytes);
         EXPECT_TRUE(d.get_bytes(4).empty());
@@ -272,7 +274,7 @@ TEST(CkptContainer, WriteFileStreamsTheEncodedBytes)
     writer.add_section("b", {4, 5, 6, 7, 8, 9, 10, 11, 12});
     writer.add_section("a", {1, 2, 3});
     writer.add_section("c", {});
-    std::vector<std::uint8_t> big(100000);
+    ByteBuffer big(100000);
     for (std::size_t i = 0; i < big.size(); ++i)
         big[i] = static_cast<std::uint8_t>(i * 31);
     std::uint32_t big_crc = crc32(big.data(), big.size());
@@ -281,7 +283,7 @@ TEST(CkptContainer, WriteFileStreamsTheEncodedBytes)
     const std::string path = "ckpt_container_stream.ckpt";
     ASSERT_EQ(writer.write_file(path), CkptStatus::kOk);
     std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
+    ByteBuffer file((std::istreambuf_iterator<char>(in)),
                                    std::istreambuf_iterator<char>());
     std::remove(path.c_str());
     EXPECT_EQ(file, writer.encode());
@@ -290,7 +292,7 @@ TEST(CkptContainer, WriteFileStreamsTheEncodedBytes)
     ASSERT_EQ(reader.parse(file), CkptStatus::kOk);
     std::optional<std::span<const std::uint8_t>> got = reader.section("big");
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(std::vector<std::uint8_t>(got->begin(), got->end()), big);
+    EXPECT_EQ(ByteBuffer(got->begin(), got->end()), big);
 }
 
 TEST(CkptContainer, FramingIsCheckedBeforeCrcsAcrossSections)
@@ -299,34 +301,34 @@ TEST(CkptContainer, FramingIsCheckedBeforeCrcsAcrossSections)
     writer.add_section("s1", {1, 2, 3, 4, 5, 6, 7, 8});
     writer.add_section("s2", {9, 10, 11, 12, 13, 14, 15, 16});
     writer.add_section("s3", {17, 18, 19, 20});
-    std::vector<std::uint8_t> good = writer.encode();
+    ByteBuffer good = writer.encode();
     // Each section frames as u32 name length, name, u64 payload
     // length, payload, u32 CRC; the header is 16 bytes.
     const std::size_t s1_payload = 16 + 4 + 2 + 8;
     const std::size_t s2_payload = s1_payload + 8 + 4 + 4 + 2 + 8;
 
     {  // CRC flip in the first of several sections
-        std::vector<std::uint8_t> bad = good;
+        ByteBuffer bad = good;
         bad[s1_payload + 3] ^= 0x10;
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kCrcMismatch);
         EXPECT_TRUE(reader.sections().empty());
     }
     {  // truncation inside the middle section's payload
-        std::vector<std::uint8_t> bad(
+        ByteBuffer bad(
             good.begin(), good.begin() + static_cast<long>(s2_payload + 4));
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kTruncated);
     }
     {  // both: the framing error wins over the earlier CRC flip
-        std::vector<std::uint8_t> bad(
+        ByteBuffer bad(
             good.begin(), good.begin() + static_cast<long>(s2_payload + 4));
         bad[s1_payload + 3] ^= 0x10;
         CkptReader reader;
         EXPECT_EQ(reader.parse(bad), CkptStatus::kTruncated);
     }
     {  // trailing bytes after the last section are framing corruption
-        std::vector<std::uint8_t> bad = good;
+        ByteBuffer bad = good;
         bad.push_back(0);
         bad[s1_payload + 3] ^= 0x10;
         CkptReader reader;
@@ -337,6 +339,48 @@ TEST(CkptContainer, FramingIsCheckedBeforeCrcsAcrossSections)
         ASSERT_EQ(reader.parse(good), CkptStatus::kOk);
         EXPECT_EQ(reader.sections().size(), 3u);
     }
+}
+
+TEST(CkptContainer, PooledCrcChecksMatchSerialOnes)
+{
+    CkptWriter writer;
+    for (std::size_t i = 0; i < 9; ++i) {
+        ByteBuffer payload(1000 + i * 4099);
+        for (std::size_t b = 0; b < payload.size(); ++b)
+            payload[b] = static_cast<std::uint8_t>(b * 7 + i);
+        std::string name = "s";
+        name.push_back(static_cast<char>('0' + i));
+        writer.add_section(std::move(name), std::move(payload));
+    }
+    ByteBuffer good = writer.encode();
+    ThreadPool pool(3);
+    {
+        CkptReader serial;
+        CkptReader pooled;
+        ASSERT_EQ(serial.parse(good), CkptStatus::kOk);
+        ASSERT_EQ(pooled.parse(good, &pool), CkptStatus::kOk);
+        ASSERT_EQ(pooled.sections().size(), serial.sections().size());
+        for (std::size_t i = 0; i < serial.sections().size(); ++i) {
+            EXPECT_TRUE(std::ranges::equal(pooled.sections()[i].payload,
+                                           serial.sections()[i].payload));
+        }
+    }
+    // One flipped byte in any section fails both, exposing nothing;
+    // framing damage still wins over a CRC flip.
+    for (std::size_t at : {std::size_t{40}, good.size() / 2,
+                           good.size() - 6}) {
+        ByteBuffer bad = good;
+        bad[at] ^= 0x20;
+        CkptReader serial;
+        CkptReader pooled;
+        EXPECT_EQ(serial.parse(bad), CkptStatus::kCrcMismatch) << at;
+        EXPECT_EQ(pooled.parse(bad, &pool), CkptStatus::kCrcMismatch) << at;
+        EXPECT_TRUE(pooled.sections().empty());
+    }
+    ByteBuffer cut(good.begin(), good.end() - 3);
+    cut[40] ^= 0x20;
+    CkptReader pooled;
+    EXPECT_EQ(pooled.parse(cut, &pool), CkptStatus::kTruncated);
 }
 
 // ---------------------------------------------------------------------
@@ -750,17 +794,17 @@ TEST(FleetCkpt, RestoreIntoPopulatedFleetReplacesState)
 }
 
 /** Read a whole file into bytes. */
-std::vector<std::uint8_t>
+ByteBuffer
 slurp(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+    return ByteBuffer(std::istreambuf_iterator<char>(in),
                                      std::istreambuf_iterator<char>());
 }
 
 /** Write bytes to a file. */
 void
-spit(const std::string &path, const std::vector<std::uint8_t> &bytes)
+spit(const std::string &path, const ByteBuffer &bytes)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(bytes.data()),
@@ -782,7 +826,7 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
         fleet.step();
     const std::uint64_t live_digest = fleet.state_digest();
     const SimTime live_now = fleet.now();
-    std::vector<std::uint8_t> bytes = slurp(good.path);
+    ByteBuffer bytes = slurp(good.path);
     ASSERT_GT(bytes.size(), 64u);
 
     auto expect_rejected = [&](CkptStatus want) {
@@ -797,24 +841,24 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
         expect_rejected(CkptStatus::kIoError);
     }
     {  // truncation
-        std::vector<std::uint8_t> t(bytes.begin(), bytes.end() - 9);
+        ByteBuffer t(bytes.begin(), bytes.end() - 9);
         spit(bad.path, t);
         expect_rejected(CkptStatus::kTruncated);
     }
     {  // CRC flip (corrupt the final section's payload tail)
-        std::vector<std::uint8_t> t = bytes;
+        ByteBuffer t = bytes;
         t[t.size() - 6] ^= 0x40;
         spit(bad.path, t);
         expect_rejected(CkptStatus::kCrcMismatch);
     }
     {  // not a checkpoint
-        std::vector<std::uint8_t> t = bytes;
+        ByteBuffer t = bytes;
         t[3] ^= 0xFF;
         spit(bad.path, t);
         expect_rejected(CkptStatus::kBadMagic);
     }
     {  // version from a different lineage
-        std::vector<std::uint8_t> t = bytes;
+        ByteBuffer t = bytes;
         t[8] ^= 0x04;
         spit(bad.path, t);
         expect_rejected(CkptStatus::kBadVersion);
@@ -840,7 +884,7 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
         CkptWriter writer;
         bool found = false;
         for (const CkptSection &section : reader.sections()) {
-            std::vector<std::uint8_t> payload(section.payload.begin(),
+            ByteBuffer payload(section.payload.begin(),
                                               section.payload.end());
             if (section.name == "cluster.0002") {
                 ASSERT_GT(payload.size(), 8u);
@@ -855,6 +899,122 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
     }
 
     // The intact checkpoint still restores over the same live fleet.
+    EXPECT_EQ(fleet.restore(good.path), CkptStatus::kOk);
+    EXPECT_NE(fleet.state_digest(), live_digest);
+}
+
+/** Offset of the only occurrence of @p needle in @p hay, else npos. */
+std::size_t
+find_unique(std::span<const std::uint8_t> hay, const ByteBuffer &needle)
+{
+    std::size_t found = std::string::npos;
+    int hits = 0;
+    for (std::size_t i = 0; i + needle.size() <= hay.size(); ++i) {
+        if (std::equal(needle.begin(), needle.end(), hay.data() + i)) {
+            found = i;
+            ++hits;
+        }
+    }
+    return hits == 1 ? found : std::string::npos;
+}
+
+TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
+{
+    TempCkpt good("fleet_ckpt_handles_good.ckpt");
+    TempCkpt bad("fleet_ckpt_handles_bad.ckpt");
+    FleetConfig config;
+    config.num_clusters = 2;
+    config.seed = 7;
+    config.serial_step = true;
+    config.cluster.num_machines = 3;
+    config.cluster.machine.dram_pages = 96ull * kMiB / kPageSize;
+    config.cluster.mix = typical_fleet_mix();
+    config.cluster.target_utilization = 0.7;
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 30; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+
+    // Two consecutive zswap pages of one cluster-0 job, as saved: their
+    // two 12-byte records locate that job's handle list in the section.
+    ByteBuffer records;
+    std::size_t handle_at = 0;  // offset of the first record's handle
+    ZsHandle second = 0;
+    ZsHandle dead = 0;
+    ZsHandle limit = 0;
+    CkptReader reader;
+    ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
+    std::optional<std::span<const std::uint8_t>> cluster0 =
+        reader.section("cluster.0000");
+    ASSERT_TRUE(cluster0.has_value());
+    for (const auto &machine : fleet.clusters()[0]->machines()) {
+        const ZsmallocArena &arena = machine->zswap().arena();
+        for (const auto &job : machine->jobs()) {
+            std::vector<PageId> ids = job->memcg().zswap_page_ids();
+            if (ids.size() < 2)
+                continue;
+            // Wire: u32 page, u64 handle per record.
+            Serializer needle;
+            for (PageId p : {ids[0], ids[1]}) {
+                needle.put_u32(p);
+                needle.put_u64(job->memcg().zswap_handle(p));
+            }
+            std::size_t at = find_unique(*cluster0, needle.bytes());
+            if (at == std::string::npos)
+                continue;
+            for (ZsHandle h = 1; h < arena.handle_limit() && dead == 0;
+                 ++h) {
+                if (!arena.is_live(h))
+                    dead = h;
+            }
+            if (dead == 0)
+                continue;
+            records = needle.take();
+            handle_at = at + 4;
+            second = job->memcg().zswap_handle(ids[1]);
+            limit = arena.handle_limit();
+            break;
+        }
+        if (!records.empty())
+            break;
+    }
+    ASSERT_FALSE(records.empty())
+        << "no cluster-0 job with two zswap pages and a freed handle";
+
+    for (int i = 0; i < 3; ++i)
+        fleet.step();
+    const std::uint64_t live_digest = fleet.state_digest();
+    const SimTime live_now = fleet.now();
+
+    // Rewrite the first record's handle and re-seal the section CRC:
+    // the counts all still reconcile, so only the handle check can
+    // reject the file.
+    auto expect_rejected_with_handle = [&](ZsHandle handle) {
+        CkptWriter writer;
+        for (const CkptSection &section : reader.sections()) {
+            ByteBuffer payload(section.payload.begin(),
+                               section.payload.end());
+            if (section.name == "cluster.0000") {
+                for (std::size_t b = 0; b < 8; ++b) {
+                    payload[handle_at + b] =
+                        static_cast<std::uint8_t>(handle >> (8 * b));
+                }
+            }
+            writer.add_section(section.name, std::move(payload));
+        }
+        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload)
+            << "handle " << handle;
+        EXPECT_EQ(fleet.state_digest(), live_digest)
+            << "a rejected restore mutated the live fleet";
+        EXPECT_EQ(fleet.now(), live_now);
+    };
+    expect_rejected_with_handle(dead);        // a freed arena slot
+    expect_rejected_with_handle(second);      // shared with the next page
+    expect_rejected_with_handle(limit + 7);   // past the arena's handles
+    expect_rejected_with_handle(1ULL << 40);  // does not fit a u32
+
     EXPECT_EQ(fleet.restore(good.path), CkptStatus::kOk);
     EXPECT_NE(fleet.state_digest(), live_digest);
 }
@@ -923,7 +1083,7 @@ TEST(FleetCkpt, ParallelAndSerialFleetsWriteIdenticalFiles)
     }
     ASSERT_EQ(serial.checkpoint(serial_ckpt.path), CkptStatus::kOk);
     ASSERT_EQ(parallel.checkpoint(parallel_ckpt.path), CkptStatus::kOk);
-    std::vector<std::uint8_t> serial_bytes = slurp(serial_ckpt.path);
+    ByteBuffer serial_bytes = slurp(serial_ckpt.path);
     ASSERT_GT(serial_bytes.size(), 64u);
     EXPECT_EQ(serial_bytes, slurp(parallel_ckpt.path));
 

@@ -12,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "compression/compressor.h"
 #include "core/far_memory_system.h"
 #include "fault/circuit_breaker.h"
 #include "mem/memcg.h"
 #include "mem/zswap.h"
+#include "node/machine.h"
 #include "node/threshold_controller.h"
 #include "util/invariant.h"
 
@@ -134,6 +138,38 @@ TEST(InvariantDeathTest, ArenaByteAccountingCorruptionDies)
     zswap.check_invariants();
     zswap.debug_arena().debug_corrupt_stored_bytes(1);
     EXPECT_DEATH(zswap.check_invariants(), "invariant violated");
+}
+
+TEST(InvariantDeathTest, SharedZswapHandleDies)
+{
+    MachineConfig config;
+    config.dram_pages = 16 * 1024;
+    Machine machine(0, config, 11);
+    FleetMix mix = typical_fleet_mix();
+    for (std::size_t i = 0; i < 3; ++i) {
+        machine.add_job(std::make_unique<Job>(
+            static_cast<JobId>(i + 1),
+            mix.profiles[i % mix.profiles.size()], 100 + i, 0));
+    }
+    SimTime now = 0;
+    Memcg *cg = nullptr;
+    for (int i = 0; i < 60 && cg == nullptr; ++i) {
+        machine.step(now);
+        now += config.control_period;
+        for (const auto &job : machine.jobs()) {
+            if (job->memcg().zswap_pages() >= 2)
+                cg = &job->memcg();
+        }
+    }
+    ASSERT_NE(cg, nullptr) << "no job reached zswap";
+    machine.check_invariants();
+    // Two zswap pages share one handle: every per-cgroup and per-store
+    // count still reconciles, only the page/arena bijection breaks.
+    std::vector<PageId> ids = cg->zswap_page_ids();
+    cg->clear_zswap_handle(ids[0]);
+    cg->set_zswap_handle(ids[0], cg->zswap_handle(ids[1]));
+    cg->check_invariants();
+    EXPECT_DEATH(machine.check_invariants(), "invariant violated");
 }
 
 TEST(InvariantDeathTest, BreakerIllegalStateDies)

@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "compression/compressor.h"
 #include "mem/kreclaimd.h"
 #include "mem/kstaled.h"
 #include "mem/memcg.h"
 #include "mem/zswap.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace sdfm {
 namespace {
@@ -335,6 +340,91 @@ TEST(ZswapTest, RealCompressorEndToEnd)
     EXPECT_TRUE(rig.zswap.store(rig.cg, 0));
     rig.zswap.load(rig.cg, 0);
     EXPECT_EQ(rig.cg.stats().zswap_promotions, 1u);
+}
+
+// ------------------------------------------- dense handle/checksum tables
+
+TEST(ZswapDense, StoreLoadDropKeepTheHandlePlaneInStep)
+{
+    Rig rig(64);
+    // No plane until the first store.
+    EXPECT_TRUE(rig.cg.zswap_handles().empty());
+    for (PageId p = 0; p < 10; ++p)
+        ASSERT_TRUE(rig.zswap.store(rig.cg, p));
+    ASSERT_EQ(rig.cg.zswap_handles().size(), 64u);
+    for (PageId p = 0; p < 10; ++p) {
+        ZsHandle h = rig.cg.zswap_handle(p);
+        EXPECT_TRUE(rig.zswap.arena().is_live(h));
+        EXPECT_EQ(rig.cg.zswap_handles()[p], h);
+        for (PageId q = 0; q < p; ++q)
+            EXPECT_NE(rig.cg.zswap_handle(q), h);
+    }
+    EXPECT_EQ(rig.cg.zswap_handle(10), 0u);
+
+    ZsHandle loaded = rig.cg.zswap_handle(3);
+    rig.zswap.load(rig.cg, 3);
+    EXPECT_EQ(rig.cg.zswap_handle(3), 0u);
+    EXPECT_FALSE(rig.zswap.arena().is_live(loaded));
+    ZsHandle dropped = rig.cg.zswap_handle(5);
+    rig.zswap.drop(rig.cg, 5);
+    EXPECT_EQ(rig.cg.zswap_handle(5), 0u);
+    EXPECT_FALSE(rig.zswap.arena().is_live(dropped));
+    EXPECT_EQ(rig.zswap.stored_pages(), 8u);
+    EXPECT_EQ(rig.cg.zswap_pages(), 8u);
+
+    // A re-store gets a live handle again and round-trips unpoisoned.
+    ASSERT_TRUE(rig.zswap.store(rig.cg, 3));
+    EXPECT_TRUE(rig.zswap.arena().is_live(rig.cg.zswap_handle(3)));
+    rig.zswap.load(rig.cg, 3);
+    EXPECT_EQ(rig.zswap.stats().poisoned_entries, 0u);
+    rig.cg.check_invariants();
+    rig.zswap.check_invariants();
+}
+
+TEST(ZswapDense, PageIdsAreAscendingWhateverTheStoreOrder)
+{
+    Rig rig(64);
+    for (PageId p : {17u, 3u, 40u, 8u, 25u, 63u, 0u})
+        ASSERT_TRUE(rig.zswap.store(rig.cg, p));
+    rig.zswap.load(rig.cg, 40);
+    EXPECT_EQ(rig.cg.zswap_page_ids(),
+              (std::vector<PageId>{0, 3, 8, 17, 25, 63}));
+    rig.zswap.drop_all(rig.cg);
+    EXPECT_TRUE(rig.cg.zswap_page_ids().empty());
+    EXPECT_EQ(rig.zswap.stored_pages(), 0u);
+}
+
+TEST(ZswapDense, CorruptEntryPicksTheKthLiveHandleInAscendingOrder)
+{
+    Rig rig(200);
+    for (PageId p = 0; p < 200; ++p)
+        ASSERT_TRUE(rig.zswap.store(rig.cg, p));
+    // Free every third handle so the live set has holes.
+    for (PageId p = 0; p < 200; p += 3)
+        rig.zswap.load(rig.cg, p);
+
+    Rng rng(2024);
+    for (int round = 0; round < 25; ++round) {
+        // Reference: the live handles, sorted, indexed by the same draw.
+        std::vector<std::pair<ZsHandle, PageId>> live;
+        for (PageId p : rig.cg.zswap_page_ids())
+            live.emplace_back(rig.cg.zswap_handle(p), p);
+        std::sort(live.begin(), live.end());
+        Rng reference = rng;
+        const PageId victim =
+            live[reference.next_below(live.size())].second;
+
+        ASSERT_TRUE(rig.zswap.corrupt_entry(rng));
+        // Only the reference victim comes back poisoned.
+        std::uint64_t poisoned = rig.zswap.stats().poisoned_entries;
+        rig.zswap.load(rig.cg, victim);
+        EXPECT_EQ(rig.zswap.stats().poisoned_entries, poisoned + 1)
+            << "round " << round;
+    }
+    for (PageId p : rig.cg.zswap_page_ids())
+        rig.zswap.load(rig.cg, p);
+    EXPECT_EQ(rig.zswap.stats().poisoned_entries, 25u);
+    EXPECT_FALSE(rig.zswap.corrupt_entry(rng));
 }
 
 TEST(ZswapVerify, RoundTripVerifiedWithRealBackend)

@@ -273,7 +273,7 @@ TEST(PageTable, CkptLoadRejectsUnknownFlagBitsAndBadContent)
     pt.ckpt_save(good);
 
     {  // flip an unknown (reserved) flag bit in page 0's record
-        std::vector<std::uint8_t> bytes = good.bytes();
+        ByteBuffer bytes = good.bytes();
         // Wire: u64 count, then per page age u8, flags u8, ...
         bytes[8 + 1] = 0x40;
         PageTable back;
@@ -283,7 +283,7 @@ TEST(PageTable, CkptLoadRejectsUnknownFlagBitsAndBadContent)
         EXPECT_FALSE(back.ckpt_load(d, fz, ft));
     }
     {  // out-of-range content class
-        std::vector<std::uint8_t> bytes = good.bytes();
+        ByteBuffer bytes = good.bytes();
         bytes[8 + 2] =
             static_cast<std::uint8_t>(ContentClass::kNumClasses);
         PageTable back;

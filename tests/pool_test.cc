@@ -106,7 +106,7 @@ TEST(LeaseTest, CorruptStateByteIsRejected)
     lease.pages = 1024;
     Serializer s;
     lease.ckpt_save(s);
-    std::vector<std::uint8_t> bytes = s.take();
+    ByteBuffer bytes = s.take();
     // The state byte rides right after id/donor/borrower/pages
     // (4 + 4 + 4 + 8 bytes in).
     bytes[20] = 0x7F;
@@ -555,7 +555,7 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
     const std::uint64_t live_digest = fleet.state_digest();
 
     auto rewrite_pool_section =
-        [&](const std::vector<std::uint8_t> &payload) {
+        [&](const ByteBuffer &payload) {
             CkptReader reader;
             ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
             CkptWriter writer;
@@ -591,8 +591,7 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
         std::optional<std::span<const std::uint8_t>> payload =
             reader.section("pool.0000");
         ASSERT_TRUE(payload.has_value());
-        std::vector<std::uint8_t> versioned(payload->begin(),
-                                            payload->end());
+        ByteBuffer versioned(payload->begin(), payload->end());
         versioned[0] ^= 0x08;  // the section's own version u32
         rewrite_pool_section(versioned);
         expect_rejected(CkptStatus::kBadVersion);
@@ -605,7 +604,7 @@ TEST(PoolCkpt, CorruptLeaseTableRejectsRestoreAndSparesLiveFleet)
         std::optional<std::span<const std::uint8_t>> payload =
             reader.section("pool.0000");
         ASSERT_TRUE(payload.has_value());
-        std::vector<std::uint8_t> truncated(
+        ByteBuffer truncated(
             payload->begin(), payload->end() - 8);
         rewrite_pool_section(truncated);
         expect_rejected(CkptStatus::kCorruptPayload);

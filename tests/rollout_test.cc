@@ -467,14 +467,14 @@ TEST(ConfigRolloutTest, CkptLoadRejectsCorruptPayloads)
     rollout.ckpt_save(s);
 
     {  // out-of-range state enum
-        std::vector<std::uint8_t> bytes = s.bytes();
+        ByteBuffer bytes = s.bytes();
         bytes[0] = 99;
         Deserializer d(bytes);
         ConfigRollout victim(params, SloConfig{}, 1, {4, 4});
         EXPECT_FALSE(victim.ckpt_load(d));
     }
     {  // truncated payload
-        std::vector<std::uint8_t> bytes = s.bytes();
+        ByteBuffer bytes = s.bytes();
         bytes.resize(bytes.size() / 2);
         Deserializer d(bytes);
         ConfigRollout victim(params, SloConfig{}, 1, {4, 4});
@@ -490,7 +490,7 @@ TEST(ConfigRolloutTest, CkptLoadRejectsCorruptPayloads)
         // byte to a terminal kDeployed yields a state machine the
         // runtime can never produce -- release builds must reject it
         // too, not just SDFM_CHECK_INVARIANTS ones.
-        std::vector<std::uint8_t> bytes = s.bytes();
+        ByteBuffer bytes = s.bytes();
         bytes[0] = static_cast<std::uint8_t>(RolloutState::kDeployed);
         Deserializer d(bytes);
         ConfigRollout victim(params, SloConfig{}, 1, {4, 4});

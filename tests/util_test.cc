@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "util/age_histogram.h"
+#include "util/byte_buffer.h"
 #include "util/linalg.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -465,6 +466,53 @@ TEST(ThreadPoolTest, WaitIdleOnEmptyPool)
     ThreadPool pool(2);
     pool.wait_idle();  // must not hang
     SUCCEED();
+}
+
+// ----------------------------------------------------------- ByteBuffer
+
+TEST(ByteBuffer, GrowsPastTheMappedThresholdKeepingItsBytes)
+{
+    // Byte-at-a-time growth crosses from malloc into a mapping, through
+    // mremap, and into huge-page capacities.
+    ByteBuffer buf;
+    const std::size_t n = 5 * 1024 * 1024 + 3;
+    for (std::size_t i = 0; i < n; ++i)
+        buf.push_back(static_cast<std::uint8_t>(i * 131 + 7));
+    ASSERT_EQ(buf.size(), n);
+    for (std::size_t i = 0; i < n; i += 4093)
+        ASSERT_EQ(buf[i], static_cast<std::uint8_t>(i * 131 + 7)) << i;
+    EXPECT_EQ(buf[n - 1], static_cast<std::uint8_t>((n - 1) * 131 + 7));
+
+    buf.resize(n + kByteBufferMapBytes);  // growth is zero-filled
+    EXPECT_EQ(buf[n], 0u);
+    EXPECT_EQ(buf[buf.size() - 1], 0u);
+    buf.resize(10);
+    EXPECT_EQ(buf, (ByteBuffer{7, 138, 13, 144, 19, 150, 25, 156, 31, 162}));
+}
+
+TEST(ByteBuffer, CopiesAndMovesAreValueSemantics)
+{
+    ByteBuffer big(3 * kByteBufferMapBytes);
+    big[12345] = 9;
+    ByteBuffer copy = big;
+    EXPECT_EQ(copy, big);
+    copy[12345] = 10;
+    EXPECT_FALSE(copy == big);
+
+    ByteBuffer moved = std::move(copy);
+    EXPECT_EQ(moved.size(), big.size());
+    EXPECT_EQ(moved[12345], 10u);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+
+    ByteBuffer small{1, 2, 3};
+    small = big;  // a mapped buffer into a malloc'd one
+    EXPECT_EQ(small, big);
+    big = ByteBuffer{4, 5};  // and back
+    EXPECT_EQ(big, (ByteBuffer{4, 5}));
+
+    const std::vector<std::uint8_t> source = {6, 7, 8};
+    EXPECT_EQ(ByteBuffer(source.begin(), source.end()),
+              (ByteBuffer{6, 7, 8}));
 }
 
 }  // namespace
