@@ -141,6 +141,8 @@ Cluster::step(SimTime now)
         result.accesses += step.accesses;
         result.promotions += step.promotions;
         result.evicted += step.evicted.size();
+        result.kstaled += step.kstaled;
+        result.kreclaimd += step.kreclaimd;
         // Evicted best-effort jobs restart fresh on another machine
         // (the cluster scheduler's reschedule path).
         for (std::size_t i = 0; i < step.evicted.size(); ++i) {

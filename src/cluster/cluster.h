@@ -87,6 +87,8 @@ struct ClusterStepResult
     std::uint64_t evicted = 0;
     std::uint64_t rescheduled = 0;
     std::uint64_t churned = 0;
+    WalkWork kstaled;    ///< summed over the machines
+    WalkWork kreclaimd;  ///< summed over the machines
 };
 
 /** Outcome of an explicitly injected donor failure. */

@@ -82,6 +82,8 @@ FarMemorySystem::step()
         result.accesses += step.accesses;
         result.promotions += step.promotions;
         result.evictions += step.evicted;
+        result.kstaled += step.kstaled;
+        result.kreclaimd += step.kreclaimd;
     }
     // The rollout plane steps after the cluster barrier, on the fleet
     // thread, so pushes applied here take effect in the next period's

@@ -77,6 +77,8 @@ struct FleetStepResult
     std::uint64_t accesses = 0;
     std::uint64_t promotions = 0;
     std::uint64_t evictions = 0;
+    WalkWork kstaled;    ///< summed over the clusters
+    WalkWork kreclaimd;  ///< summed over the clusters
 };
 
 /**

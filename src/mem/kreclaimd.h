@@ -34,6 +34,18 @@ struct ReclaimResult
     std::uint64_t pages_walked = 0;
     std::uint64_t huge_splits = 0;     ///< cold huge regions split
     double walk_cycles = 0.0;  ///< page-walk + split cost
+
+    /**
+     * Host work, not the modelled walk (pages_walked also counts the
+     * pages of skipped regions): summary regions the walk went
+     * through rather than skipped, and the 64-page bitset words of
+     * those regions it read. The per-page direct-reclaim walk visits
+     * every region and counts one word per 64 pages. Kept out of
+     * walk_cycles, the metric registry, the digest and the
+     * checkpoint.
+     */
+    std::uint64_t regions_visited = 0;
+    std::uint64_t words_visited = 0;
 };
 
 /** Reclaim daemon parameters. */

@@ -34,25 +34,10 @@ Kstaled::bind_metrics(MetricRegistry *registry)
 ScanResult
 Kstaled::scan(Memcg &cg, std::uint32_t phase) const
 {
-    ScanResult result;
-    cg.mutable_cold_hist().clear();
-
     std::uint32_t stride = params_.scan_stride == 0 ? 1
                                                     : params_.scan_stride;
-    if (cg.pages().layout() == PageLayout::kSoa && stride == 1)
-        scan_soa(cg, result);
-    else
-        scan_reference(cg, stride, phase, result);
-
-    SDFM_INVARIANT(result.accessed_pages <= result.pages_scanned,
-                   "accessed pages are a subset of scanned pages");
-    // Ages are 8-bit and saturate at 255, so the rebuilt cold-age
-    // histogram must cover the whole address space, no page escaping
-    // past the last bucket.
-    SDFM_INVARIANT(cg.cold_hist().total() == cg.num_pages(),
-                   "post-scan cold-age histogram covers every page");
-    result.cpu_cycles =
-        params_.cycles_per_page * static_cast<double>(result.pages_scanned);
+    ScanResult result = stride == 1 ? scan_soa(cg)
+                                    : scan_reference(cg, stride, phase);
     if (m_scans_ != nullptr) {
         m_scans_->inc();
         m_pages_scanned_->inc(result.pages_scanned);
@@ -63,8 +48,24 @@ Kstaled::scan(Memcg &cg, std::uint32_t phase) const
 }
 
 void
-Kstaled::scan_soa(Memcg &cg, ScanResult &result) const
+Kstaled::finish_scan(const Memcg &cg, ScanResult &result) const
 {
+    SDFM_INVARIANT(result.accessed_pages <= result.pages_scanned,
+                   "accessed pages are a subset of scanned pages");
+    // Ages are 8-bit and saturate at 255, so the rebuilt cold-age
+    // histogram must cover the whole address space, no page escaping
+    // past the last bucket.
+    SDFM_INVARIANT(cg.cold_hist().total() == cg.num_pages(),
+                   "post-scan cold-age histogram covers every page");
+    result.cpu_cycles =
+        params_.cycles_per_page * static_cast<double>(result.pages_scanned);
+}
+
+ScanResult
+Kstaled::scan_soa(Memcg &cg) const
+{
+    ScanResult result;
+    cg.mutable_cold_hist().clear();
     PageTable &pt = cg.pages();
     const std::uint32_t n = pt.size();
     const bool has_huge = cg.has_huge_regions();
@@ -135,6 +136,8 @@ Kstaled::scan_soa(Memcg &cg, ScanResult &result) const
             // One PTE covers the whole region: one scanned page, one
             // accessed bit, and every page shares the region's fate.
             ++result.pages_scanned;
+            ++result.regions_visited;
+            result.words_visited += w1 - w0;
             std::uint64_t dirty_or = 0;
             for (std::size_t w = w0; w < w1; ++w)
                 dirty_or |= dirty[w];
@@ -177,14 +180,17 @@ Kstaled::scan_soa(Memcg &cg, ScanResult &result) const
         const std::uint32_t count = end - first;
         result.pages_scanned += count;
 
+        if (acc_or == 0 && pt.region_min_age(r) == 255) {
+            // Wholly idle and already saturated at 255: aging writes
+            // nothing, so one bulk histogram count covers the region.
+            cold_counts[255] += count;
+            continue;
+        }
+        ++result.regions_visited;
+        result.words_visited += w1 - w0;
+
         if (acc_or == 0) {
-            // Wholly idle region: every page just ages. When the
-            // region is already saturated at 255 there is nothing to
-            // write at all -- one bulk histogram count covers it.
-            if (pt.region_min_age(r) == 255) {
-                cold_counts[255] += count;
-                continue;
-            }
+            // Wholly idle region: every page just ages.
             std::uint8_t mn = 255;
             std::uint8_t mx = 0;
             age_idle_run(first, end, mn, mx);
@@ -241,12 +247,16 @@ Kstaled::scan_soa(Memcg &cg, ScanResult &result) const
         if (promo_counts[b] != 0)
             promo.add(static_cast<AgeBucket>(b), promo_counts[b]);
     }
+    finish_scan(cg, result);
+    return result;
 }
 
-void
+ScanResult
 Kstaled::scan_reference(Memcg &cg, std::uint32_t stride,
-                        std::uint32_t phase, ScanResult &result) const
+                        std::uint32_t phase) const
 {
+    ScanResult result;
+    cg.mutable_cold_hist().clear();
     PageTable &pt = cg.pages();
     AgeHistogram &promo = cg.mutable_promo_hist();
     AgeHistogram &cold = cg.mutable_cold_hist();
@@ -330,6 +340,13 @@ Kstaled::scan_reference(Memcg &cg, std::uint32_t stride,
     // Point writes through set_age() only widen region summaries;
     // re-tighten them so the reclaim fast path keeps its skips.
     pt.rebuild_region_summaries();
+
+    // Every page's age is read (for the cold histogram if nothing
+    // else), so the walk visits every region and every word.
+    result.regions_visited = pt.num_summary_regions();
+    result.words_visited = pt.num_words();
+    finish_scan(cg, result);
+    return result;
 }
 
 }  // namespace sdfm

@@ -47,6 +47,18 @@ struct ScanResult
     std::uint64_t pages_scanned = 0;
     std::uint64_t accessed_pages = 0;
     double cpu_cycles = 0.0;
+
+    /**
+     * Host work, not the modelled walk: summary regions the walk went
+     * through rather than skipped, and the 64-page words of those
+     * regions. A skipped region costs only its summary test (its age
+     * bounds and one OR over its accessed words), which neither count
+     * includes; the per-page reference walk visits every region and
+     * counts one word per 64 pages. Kept out of cpu_cycles, the metric
+     * registry, the digest and the checkpoint.
+     */
+    std::uint64_t regions_visited = 0;
+    std::uint64_t words_visited = 0;
 };
 
 /** The kstaled daemon; stateless across jobs, so one instance serves
@@ -68,6 +80,19 @@ class Kstaled
     ScanResult scan(Memcg &cg, std::uint32_t phase = 0) const;
 
     /**
+     * Reference per-page walk, any stride: scan() takes it whenever
+     * scan_stride > 1, and at stride 1 it is the oracle the region
+     * walk is tested against (the two agree on every page, histogram,
+     * region summary and modelled result field). Huge regions are
+     * resolved in a single pass (test, age, promotion and cold
+     * histograms together); region summaries are rebuilt at the end
+     * so the reclaim fast path stays sound under striping. Records no
+     * metrics.
+     */
+    ScanResult scan_reference(Memcg &cg, std::uint32_t stride,
+                              std::uint32_t phase) const;
+
+    /**
      * Attach to a machine's metric registry (kstaled.* metrics).
      * Metrics are recorded once per scanned job, not per page, so
      * the scan loop itself stays untouched. Null detaches.
@@ -78,25 +103,20 @@ class Kstaled
 
   private:
     /**
-     * Hierarchical word-at-a-time walk for SoA tables at stride 1
-     * (the default config): per 512-page region, one OR over eight
-     * accessed words decides whether the region can take a bulk idle
-     * path (zero flag writes; a fully-saturated region is skipped
-     * with a single histogram add) or needs the per-word mixed path
-     * (popcount for the accessed counter, bit iteration only over
-     * accessed pages). Region age summaries are set exactly on the
-     * way through. Transition-identical to scan_reference().
+     * Hierarchical word-at-a-time walk at stride 1 (the default
+     * config): per 512-page region, one OR over eight accessed words
+     * decides whether the region can take a bulk idle path (zero flag
+     * writes; a fully-saturated region is skipped with a single
+     * histogram add) or needs the per-word mixed path (popcount for
+     * the accessed counter, bit iteration only over accessed pages).
+     * Region age summaries are set exactly on the way through.
+     * Transition-identical to scan_reference(cg, 1, 0).
      */
-    void scan_soa(Memcg &cg, ScanResult &result) const;
+    ScanResult scan_soa(Memcg &cg) const;
 
-    /**
-     * Reference per-page walk: any layout, any stride. Huge regions
-     * are resolved in a single pass (test, age, promotion and cold
-     * histograms together); SoA region summaries are rebuilt at the
-     * end so the reclaim fast path stays sound under striping.
-     */
-    void scan_reference(Memcg &cg, std::uint32_t stride,
-                        std::uint32_t phase, ScanResult &result) const;
+    /** Shared epilogue of both walks: post-scan invariants and the
+     *  modelled cycle cost. */
+    void finish_scan(const Memcg &cg, ScanResult &result) const;
 
     KstaledParams params_;
 

@@ -199,6 +199,8 @@ Machine::step(SimTime now)
         for (auto &job : jobs_) {
             ScanResult scan = kstaled_.scan(job->memcg(), scan_phase_);
             counters_.kstaled_cycles += scan.cpu_cycles;
+            result.kstaled.regions_visited += scan.regions_visited;
+            result.kstaled.words_visited += scan.words_visited;
         }
         ++scan_phase_;
         last_scan_ = period_end;
@@ -221,6 +223,8 @@ Machine::step(SimTime now)
             ReclaimResult reclaim =
                 kreclaimd_.reclaim_cold(job->memcg(), plan_);
             counters_.kreclaimd_cycles += reclaim.walk_cycles;
+            result.kreclaimd.regions_visited += reclaim.regions_visited;
+            result.kreclaimd.words_visited += reclaim.words_visited;
         }
         for (std::size_t i = 0; i < tier_metrics_.size(); ++i)
             tier_metrics_[i].demotions->inc(plan_.stored[i + 1]);
@@ -425,6 +429,8 @@ Machine::handle_pressure(MachineStepResult *result)
                 ReclaimResult reclaim = kreclaimd_.direct_reclaim(
                     job->memcg(), *zswap_, want);
                 counters_.kreclaimd_cycles += reclaim.walk_cycles;
+                result->kreclaimd.regions_visited += reclaim.regions_visited;
+                result->kreclaimd.words_visited += reclaim.words_visited;
                 // Allocation stalls: walking and compressing happen
                 // in the faulting task's context, so the whole cost
                 // is synchronous application slowdown.

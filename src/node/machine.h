@@ -141,6 +141,26 @@ struct MachineCounters
 };
 
 /** Result of one machine step. */
+/**
+ * Host work of one daemon's page walks, summed from the
+ * regions_visited / words_visited fields of its ScanResults or
+ * ReclaimResults. Not the modelled cost: it stays out of the cycle
+ * counters, the metric registry, the digest and the checkpoint.
+ */
+struct WalkWork
+{
+    std::uint64_t regions_visited = 0;
+    std::uint64_t words_visited = 0;
+
+    WalkWork &
+    operator+=(const WalkWork &other)
+    {
+        regions_visited += other.regions_visited;
+        words_visited += other.words_visited;
+        return *this;
+    }
+};
+
 struct MachineStepResult
 {
     std::uint64_t accesses = 0;
@@ -149,6 +169,8 @@ struct MachineStepResult
                                  ///< remote-tier data loss)
     std::uint64_t donor_failures = 0;
     std::uint64_t faults_injected = 0;  ///< fault events applied
+    WalkWork kstaled;    ///< scans' host work
+    WalkWork kreclaimd;  ///< proactive and direct reclaim's host work
 };
 
 /** One machine. */

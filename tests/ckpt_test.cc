@@ -706,6 +706,15 @@ TEST(SubsystemCkpt, ClusterRoundTripTrajectoryEqual)
 // Whole-fleet checkpoint/restore
 // ---------------------------------------------------------------------
 
+/**
+ * A small fleet that still places jobs and demotes them: 96 MiB
+ * machines fit a few typical jobs each. The remote tier's band is
+ * narrowed to [T, 1.25 T), so zswap takes the first demotions (at
+ * step 6, once the agent's enable delay has passed) and the remote
+ * tier the next ones: a checkpoint taken after kStepsToDemote steps
+ * carries zswap entries, handles and arena payloads beside remote
+ * pages (asserted where each checkpoint is taken).
+ */
 FleetConfig
 small_fleet_config()
 {
@@ -714,8 +723,9 @@ small_fleet_config()
     config.seed = 21;
     config.serial_step = true;  // keep the tests single-threaded
     config.cluster.num_machines = 3;
-    config.cluster.machine.dram_pages = 16 * 1024;
+    config.cluster.machine.dram_pages = 96ull * kMiB / kPageSize;
     config.cluster.machine.remote.capacity_pages = 1 << 20;
+    config.cluster.machine.nvm_deep_threshold_factor = 1.25;
     config.cluster.machine.tier_breaker_enabled = true;
     config.cluster.machine.slo_breaker_enabled = true;
     config.cluster.machine.fault.enabled = true;
@@ -726,6 +736,8 @@ small_fleet_config()
     return config;
 }
 
+constexpr int kStepsToDemote = 8;
+
 FleetConfig
 four_cluster_config(bool serial_step)
 {
@@ -734,6 +746,18 @@ four_cluster_config(bool serial_step)
     config.cluster.num_machines = 2;
     config.serial_step = serial_step;
     return config;
+}
+
+/** Pages the fleet holds in zswap, summed over every machine. */
+std::uint64_t
+zswap_entries(const FarMemorySystem &fleet)
+{
+    std::uint64_t entries = 0;
+    for (const auto &cluster : fleet.clusters()) {
+        for (const auto &machine : cluster->machines())
+            entries += machine->zswap().stored_pages();
+    }
+    return entries;
 }
 
 /** RAII temp checkpoint path (removed on scope exit). */
@@ -751,9 +775,10 @@ TEST(FleetCkpt, RestoreAtKReproducesUninterruptedTrajectory)
 
     FarMemorySystem reference(config);
     reference.populate();
-    for (int i = 0; i < 6; ++i)
+    for (int i = 0; i < kStepsToDemote; ++i)
         reference.step();
     ASSERT_EQ(reference.checkpoint(ckpt.path), CkptStatus::kOk);
+    ASSERT_GT(zswap_entries(reference), 0u);
 
     // Cold start: a fresh fleet object, as after a process kill.
     FarMemorySystem resumed(config);
@@ -780,9 +805,10 @@ TEST(FleetCkpt, RestoreIntoPopulatedFleetReplacesState)
 
     FarMemorySystem a(config);
     a.populate();
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < kStepsToDemote; ++i)
         a.step();
     ASSERT_EQ(a.checkpoint(ckpt.path), CkptStatus::kOk);
+    ASSERT_GT(zswap_entries(a), 0u);
     std::uint64_t digest_at_ckpt = a.state_digest();
 
     // Let the original drift past the checkpoint, then roll it back.
@@ -819,9 +845,10 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
     // Pool-stepped, so cluster sections are encoded in parallel.
     FarMemorySystem fleet(four_cluster_config(false));
     fleet.populate();
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < kStepsToDemote; ++i)
         fleet.step();
     ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+    ASSERT_GT(zswap_entries(fleet), 0u);
     for (int i = 0; i < 3; ++i)
         fleet.step();
     const std::uint64_t live_digest = fleet.state_digest();
@@ -1025,8 +1052,10 @@ TEST(FleetCkpt, ConfigMismatchIsRejected)
     FleetConfig config = small_fleet_config();
     FarMemorySystem fleet(config);
     fleet.populate();
-    fleet.step();
+    for (int i = 0; i < kStepsToDemote; ++i)
+        fleet.step();
     ASSERT_EQ(fleet.checkpoint(ckpt.path), CkptStatus::kOk);
+    ASSERT_GT(zswap_entries(fleet), 0u);
 
     // Any trajectory-relevant config difference must be refused --
     // seed, topology, tunables, and fault plane alike.
@@ -1077,12 +1106,13 @@ TEST(FleetCkpt, ParallelAndSerialFleetsWriteIdenticalFiles)
     FarMemorySystem parallel(four_cluster_config(false));
     serial.populate();
     parallel.populate();
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < kStepsToDemote; ++i) {
         serial.step();
         parallel.step();
     }
     ASSERT_EQ(serial.checkpoint(serial_ckpt.path), CkptStatus::kOk);
     ASSERT_EQ(parallel.checkpoint(parallel_ckpt.path), CkptStatus::kOk);
+    ASSERT_GT(zswap_entries(serial), 0u);
     ByteBuffer serial_bytes = slurp(serial_ckpt.path);
     ASSERT_GT(serial_bytes.size(), 64u);
     EXPECT_EQ(serial_bytes, slurp(parallel_ckpt.path));

@@ -250,6 +250,28 @@ TEST(LintMetricNameTest, EnforcesSubsystemSnakeCase)
         "registry->gauge(\"machine.Resident\").set(1.0);\n"
         "registry.histogram(\"kstaled.scan_cycles\", bounds);\n");
     EXPECT_EQ(count_rule(findings, "metric-name"), 2u);
+
+    // Edge cases of [a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+, one per line.
+    findings = lint_one(
+        "src/x.cc",
+        "registry.counter(\"9zswap.stores\").inc();\n"   // leading digit
+        "registry.counter(\"zswap.9stores\").inc();\n"   // digit after dot
+        "registry.counter(\"zswap..stores\").inc();\n"   // empty component
+        "registry.counter(\".zswap.stores\").inc();\n"   // leading dot
+        "registry.counter(\"zswap.stores.\").inc();\n"   // trailing dot
+        "registry.counter(\"zswap.Stores\").inc();\n"    // uppercase
+        "registry.counter(\"zswap-x.stores\").inc();\n"  // bad character
+        "registry.counter(\"zswap\").inc();\n"           // one component
+        "registry.counter(\"\").inc();\n");              // empty name
+    EXPECT_EQ(count_rule(findings, "metric-name"), 9u);
+    for (const Finding &f : findings)
+        EXPECT_EQ(f.rule, "metric-name");
+    findings = lint_one(
+        "src/x.cc",
+        "registry.counter(\"a.b\").inc();\n"
+        "registry.counter(\"tier.nvm_2.demotions\").inc();\n"
+        "registry.gauge(\"x9.y_\").set(1.0);\n");
+    EXPECT_TRUE(findings.empty());
 }
 
 TEST(LintMetricNameTest, IgnoresNonMemberCallsAndVariables)

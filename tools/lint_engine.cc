@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 
@@ -685,11 +684,36 @@ check_dynamic_cast(const FileContext &ctx, Reporter &reporter)
 // Rule: metric-name
 // ---------------------------------------------------------------------
 
+/**
+ * True iff @p name matches [a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+: two
+ * or more dot-separated components, each a lowercase letter followed
+ * by lowercase letters, digits or underscores.
+ */
+bool
+valid_metric_name(const std::string &name)
+{
+    std::size_t components = 0;
+    std::size_t i = 0;
+    while (true) {
+        if (i >= name.size() || name[i] < 'a' || name[i] > 'z')
+            return false;
+        for (++i; i < name.size() && name[i] != '.'; ++i) {
+            char c = name[i];
+            if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                  c == '_')) {
+                return false;
+            }
+        }
+        ++components;
+        if (i == name.size())
+            return components >= 2;
+        ++i;  // past the dot
+    }
+}
+
 void
 check_metric_name(const FileContext &ctx, Reporter &reporter)
 {
-    static const std::regex kValid(
-        "[a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)+");
     static const std::set<std::string> kFactories = {"counter", "gauge",
                                                      "histogram"};
     for (std::size_t i = 0; i < ctx.string_lines.size(); ++i) {
@@ -715,7 +739,7 @@ check_metric_name(const FileContext &ctx, Reporter &reporter)
                 continue;  // literal continues past this line
             std::string name =
                 line.substr(open + 1, close - open - 1);
-            if (!std::regex_match(name, kValid)) {
+            if (!valid_metric_name(name)) {
                 reporter.report(
                     ctx, "metric-name", static_cast<int>(i + 1),
                     "metric name \"" + name +
