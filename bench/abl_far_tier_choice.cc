@@ -48,15 +48,24 @@ run_choice(TierChoice choice, std::uint64_t seed)
     MachineConfig config;
     config.dram_pages = 192ull * kMiB / kPageSize;
     config.compression = CompressionMode::kModeled;
+    TierConfig tier;
+    tier.band_lo = 1.0;
+    tier.band_hi = 4.0;
     if (choice == TierChoice::kNvm) {
-        config.nvm.capacity_pages = 16384;
+        tier.kind = TierKind::kNvm;
+        tier.nvm.capacity_pages = 16384;
+        config.tiers = {tier};
     } else if (choice == TierChoice::kRemote) {
-        config.remote.capacity_pages = 16384;
+        tier.kind = TierKind::kRemote;
+        tier.remote.capacity_pages = 16384;
+        config.tiers = {tier};
         // A donor pool of 8 machines. Real machine-failure rates
         // (~0.5%/machine/day) would need a months-long window to show
         // up, so the rate is accelerated to make the 12-hour bench
-        // exhibit what a quarter of production exhibits.
-        config.remote_donor_failures_per_hour = 0.25;
+        // exhibit what a quarter of production exhibits: 0.25 donor
+        // failures an hour, one chance per one-minute control period.
+        config.fault.enabled = true;
+        config.fault.donor_failure_prob = 0.25 / 60;
     }
     Machine machine(0, config, seed);
 

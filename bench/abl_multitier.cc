@@ -46,11 +46,20 @@ base_config()
     return config;
 }
 
+/** zswap plus an NVM tier of @p nvm_pages for ages [T, 4T); zswap
+ *  alone when @p nvm_pages is 0. */
 MachineConfig
-legacy_nvm_config(std::uint64_t nvm_capacity_pages)
+nvm_config(std::uint64_t nvm_pages)
 {
     MachineConfig config = base_config();
-    config.nvm.capacity_pages = nvm_capacity_pages;
+    if (nvm_pages > 0) {
+        TierConfig nvm;
+        nvm.kind = TierKind::kNvm;
+        nvm.nvm.capacity_pages = nvm_pages;
+        nvm.band_lo = 1.0;
+        nvm.band_hi = 4.0;
+        config.tiers = {nvm};
+    }
     return config;
 }
 
@@ -153,17 +162,16 @@ main()
         const char *label;
     };
     const Case cases[] = {
-        {legacy_nvm_config(0), "zswap only (paper)"},
-        {legacy_nvm_config(2048), "+ NVM 8 MiB"},
-        {legacy_nvm_config(8192), "+ NVM 32 MiB"},
-        {legacy_nvm_config(32768), "+ NVM 128 MiB (overprovisioned)"},
+        {nvm_config(0), "zswap only (paper)"},
+        {nvm_config(2048), "+ NVM 8 MiB"},
+        {nvm_config(8192), "+ NVM 32 MiB"},
+        {nvm_config(32768), "+ NVM 128 MiB (overprovisioned)"},
         {three_tier_config(2048, 65536),
          "3-tier: NVM 8 MiB + remote 256 MiB"},
     };
     for (const Case &c : cases) {
         Outcome outcome = run_config(c.config, 41);
-        bool has_deep =
-            c.config.nvm.capacity_pages > 0 || !c.config.tiers.empty();
+        bool has_deep = !c.config.tiers.empty();
         table.add_row(
             {c.label, fmt_percent(outcome.coverage),
              fmt_percent(outcome.nvm_share),

@@ -5,8 +5,8 @@
  *
  * Three fleets run the same workload and machine fault plane:
  *
- *   - static donors: the legacy remote tier -- fixed capacity carved
- *     out of anonymous donor machines; a donor failure invalidates
+ *   - static donors: a remote tier of fixed capacity carved out of
+ *     anonymous donor machines; a donor failure invalidates
  *     stored pages and kills the borrowing jobs outright.
  *   - leases: the same remote capacity held as revocable broker
  *     leases; donor crashes still kill, but capacity arrives and
@@ -61,7 +61,16 @@ variant_fleet(Variant variant, std::uint64_t seed)
     // at 32768 pages) with room to spare, or populate and reschedule
     // starve and the fleet decays to empty.
     config.cluster.machine.dram_pages = 64 * 1024;
-    config.cluster.machine.tier_breaker_enabled = true;
+    // One breaker-guarded remote tier for ages [T, 4T): static
+    // capacity here, lease-backed once pooling marks it pooled.
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    if (variant == Variant::kStaticDonors)
+        remote.remote.capacity_pages = 1ull << 18;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    remote.breaker_enabled = true;
+    config.cluster.machine.tiers = {remote};
 
     // The same machine fault plane everywhere: donor crashes are the
     // failure-domain cost both designs pay.
@@ -69,10 +78,8 @@ variant_fleet(Variant variant, std::uint64_t seed)
     fault.enabled = true;
     fault.donor_failure_prob = 0.005;
 
-    if (variant == Variant::kStaticDonors) {
-        config.cluster.machine.remote.capacity_pages = 1ull << 18;
+    if (variant == Variant::kStaticDonors)
         return config;
-    }
 
     MemPoolParams &pool = config.cluster.pool;
     pool.enabled = true;

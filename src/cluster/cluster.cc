@@ -16,24 +16,15 @@ Cluster::Cluster(std::uint32_t cluster_id, const ClusterConfig &config,
     SDFM_ASSERT(config_.num_machines > 0);
     SDFM_ASSERT(!config_.mix.profiles.empty());
     if (config_.pool.enabled) {
-        // The pooled flag rides on the remote-tier config, set before
-        // the machines are built: legacy single-tier configs grow a
-        // lease-backed remote tier; explicit stacks must already
-        // contain a kRemote tier to back the leases.
-        if (config_.machine.tiers.empty()) {
-            SDFM_ASSERT(config_.machine.nvm.capacity_pages == 0);
-            config_.machine.remote.pooled = true;
-        } else {
-            bool found = false;
-            for (TierConfig &tc : config_.machine.tiers) {
-                if (tc.kind == TierKind::kRemote) {
-                    tc.remote.pooled = true;
-                    found = true;
-                    break;
-                }
-            }
-            SDFM_ASSERT(found);
-        }
+        // The pooled flag rides on the first remote tier's config, set
+        // before the machines are built; that tier backs the leases.
+        auto remote = std::find_if(
+            config_.machine.tiers.begin(), config_.machine.tiers.end(),
+            [](const TierConfig &tc) {
+                return tc.kind == TierKind::kRemote;
+            });
+        SDFM_ASSERT(remote != config_.machine.tiers.end());
+        remote->remote.pooled = true;
     }
     machines_.reserve(config_.num_machines);
     for (std::uint32_t m = 0; m < config_.num_machines; ++m) {

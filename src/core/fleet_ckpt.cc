@@ -120,17 +120,9 @@ save_machine_config(Serializer &s, const MachineConfig &m)
     s.put_u32(m.kstaled.scan_stride);
     s.put_double(m.kreclaimd.cycles_per_page);
     s.put_double(m.kreclaimd.split_cycles);
-    save_nvm_params(s, m.nvm);
-    save_remote_params(s, m.remote);
-    s.put_double(m.remote_donor_failures_per_hour);
-    s.put_double(m.nvm_deep_threshold_factor);
     save_fault_config(s, m.fault);
-    s.put_bool(m.tier_breaker_enabled);
-    save_breaker_params(s, m.tier_breaker);
     s.put_bool(m.slo_breaker_enabled);
     save_breaker_params(s, m.slo_breaker);
-    // Explicit tier stack (empty for legacy configurations; the count
-    // keeps old and new fingerprints from colliding).
     s.put_u64(m.tiers.size());
     for (const TierConfig &t : m.tiers) {
         s.put_u8(static_cast<std::uint8_t>(t.kind));

@@ -32,7 +32,7 @@ namespace sdfm {
 /** NVM device parameters (Optane-DC-ish defaults). */
 struct NvmTierParams
 {
-    /** Device capacity in pages; 0 disables the tier. */
+    /** Device capacity in pages (a 0-page tier rejects every store). */
     std::uint64_t capacity_pages = 0;
 
     /** Mean read (promotion) latency in microseconds. */

@@ -218,15 +218,6 @@ RemoteTier::fail_donor(std::uint32_t donor)
 }
 
 std::vector<JobId>
-RemoteTier::fail_random_donor()
-{
-    if (params_.pooled)
-        return fail_random_lease(rng_);
-    return fail_donor(static_cast<std::uint32_t>(
-        rng_.next_below(params_.num_donors)));
-}
-
-std::vector<JobId>
 RemoteTier::fail_random_lease(Rng &rng)
 {
     SDFM_ASSERT(params_.pooled);

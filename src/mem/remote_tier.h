@@ -116,14 +116,6 @@ class RemoteTier : public FarTier
      */
     std::vector<JobId> fail_donor(std::uint32_t donor);
 
-    /**
-     * Fail a random donor. Static mode: a uniform donor index (the
-     * historical draw, bit-for-bit). Pooled mode: a uniform pick over
-     * the live lease ids in sorted-key order (digest-stable; no draw
-     * when no leases are held), recorded for broker reconciliation.
-     */
-    std::vector<JobId> fail_random_donor();
-
     /** Pages currently hosted by a donor (static) or lease (pooled). */
     std::uint64_t donor_pages(std::uint32_t donor) const;
 

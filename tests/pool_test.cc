@@ -138,7 +138,12 @@ pooled_machine()
     MachineConfig config;
     config.dram_pages = 16 * 1024;
     config.compression = CompressionMode::kModeled;
-    config.remote.pooled = true;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.pooled = true;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    config.tiers = {remote};
     return config;
 }
 
@@ -370,6 +375,12 @@ pooled_fleet(std::uint64_t seed)
     config.cluster.mix = typical_fleet_mix();
     config.cluster.num_machines = 4;
     config.cluster.machine.dram_pages = 16 * 1024;
+    // The cluster marks this tier pooled: leases back its capacity.
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    config.cluster.machine.tiers = {remote};
     MemPoolParams &pool = config.cluster.pool;
     pool.enabled = true;
     pool.lease_pages = 1024;

@@ -136,8 +136,14 @@ TEST(RemoteMachine, DonorFailureKillsAndReports)
     MachineConfig config;
     config.dram_pages = 128ull * kMiB / kPageSize;
     config.compression = CompressionMode::kModeled;
-    config.remote.capacity_pages = 1 << 20;
-    config.remote_donor_failures_per_hour = 60.0;  // every minute-ish
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.capacity_pages = 1 << 20;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    config.tiers = {remote};
+    config.fault.enabled = true;
+    config.fault.donor_failure_prob = 1.0;  // a donor fails every period
     Machine machine(0, config, 3);
     ASSERT_LT(machine.tiers().find(TierKind::kRemote),
               machine.tiers().size());
@@ -154,15 +160,6 @@ TEST(RemoteMachine, DonorFailureKillsAndReports)
     EXPECT_GT(failures, 0u);
     // At least one failure hit a donor holding pages, killing jobs.
     EXPECT_GT(evicted, 0u);
-}
-
-TEST(RemoteMachine, MutuallyExclusiveWithNvm)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    MachineConfig config;
-    config.nvm.capacity_pages = 100;
-    config.remote.capacity_pages = 100;
-    EXPECT_DEATH({ Machine machine(0, config, 3); }, "assertion failed");
 }
 
 }  // namespace

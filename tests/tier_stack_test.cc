@@ -2,8 +2,8 @@
  * @file
  * Tests for the N-tier TierStack: a three-tier DRAM -> NVM -> remote
  * -> zswap chain exercising band routing, breaker fallback to a
- * shallower tier, whole-stack checkpoint round-trips, and donor
- * failure at stack depth 3.
+ * shallower tier, whole-stack checkpoint round-trips, donor failure
+ * at stack depth 3, and recorded digests of one-tier stacks.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "ckpt/checkpoint.h"
+#include "core/far_memory_system.h"
 #include "mem/kreclaimd.h"
 #include "mem/kstaled.h"
 #include "mem/memcg.h"
@@ -225,7 +226,7 @@ TEST(ThreeTierMachine, EndToEndFillsBothDeepTiers)
     EXPECT_EQ(machine.far_memory_pages(),
               machine.zswap_stored_pages() + machine.tier_stored_pages());
 
-    // Explicit stacks export per-tier telemetry under tier.<label>.*.
+    // Every deep tier exports telemetry under tier.<label>.*.
     MetricsSnapshot snap = machine.metrics().snapshot();
     EXPECT_GT(snap.counters.at("tier.nvm.demotions"), 0u);
     EXPECT_GT(snap.counters.at("tier.remote.demotions"), 0u);
@@ -305,6 +306,128 @@ TEST(ThreeTierMachine, DonorFailureAtDepthThreeKillsOwningJob)
     // The machine stays consistent and steppable afterwards.
     machine.step(0);
     EXPECT_EQ(machine.tier_stored_pages(), 0u);
+}
+
+/**
+ * Recorded state_digest() values of one-tier stacks: a breaker-guarded
+ * NVM tier under media errors, a faulted two-cluster fleet whose
+ * remote tier claims [T, 1.25 T), and a lease-pooled fleet. The
+ * values were taken from the same configurations written with the
+ * single-tier MachineConfig fields that `tiers` replaced, so any
+ * change to a tier's band, its breaker or the order of the machine's
+ * RNG draws fails here.
+ */
+struct PinnedDigest
+{
+    const char *name;
+    std::uint64_t (*run)();
+    std::uint64_t digest;
+};
+
+std::uint64_t
+nvm_breaker_machine()
+{
+    MachineConfig config;
+    config.dram_pages = 32 * 1024;
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 4096;
+    nvm.band_lo = 1.0;
+    nvm.band_hi = 4.0;
+    nvm.breaker_enabled = true;
+    nvm.breaker.failure_threshold = 1;
+    nvm.breaker.open_periods = 2;
+    config.tiers = {nvm};
+    config.fault.enabled = true;
+    config.fault.nvm_media_error_prob = 0.3;
+    config.fault.media_error_burst = 64;
+    FleetMix mix = typical_fleet_mix();
+    Machine machine(0, config, 11);
+    for (std::size_t i = 0; i < 3; ++i) {
+        machine.add_job(std::make_unique<Job>(
+            static_cast<JobId>(i + 1),
+            mix.profiles[i % mix.profiles.size()], 100 + i, 0));
+    }
+    SimTime now = 0;
+    for (int i = 0; i < 60; ++i, now += config.control_period)
+        machine.step(now);
+    EXPECT_GT(machine.tier_breaker().stats().opens, 0u);
+    EXPECT_GT(machine.tier_stored_pages(), 0u);
+    return machine.state_digest();
+}
+
+std::uint64_t
+static_remote_fleet()
+{
+    FleetConfig config;
+    config.num_clusters = 2;
+    config.seed = 21;
+    config.serial_step = true;
+    config.cluster.num_machines = 3;
+    config.cluster.machine.dram_pages = 96ull * kMiB / kPageSize;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.remote.capacity_pages = 1 << 20;
+    remote.band_lo = 1.0;
+    remote.band_hi = 1.25;
+    remote.breaker_enabled = true;
+    config.cluster.machine.tiers = {remote};
+    config.cluster.machine.slo_breaker_enabled = true;
+    config.cluster.machine.fault.enabled = true;
+    config.cluster.machine.fault.donor_failure_prob = 0.05;
+    config.cluster.machine.fault.zswap_corruption_prob = 0.2;
+    config.cluster.machine.fault.agent_crash_prob = 0.02;
+    config.cluster.mix = typical_fleet_mix();
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 20; ++i)
+        fleet.step();
+    EXPECT_GT(fleet.fault_report().donor_failures, 0u);
+    return fleet.state_digest();
+}
+
+std::uint64_t
+pooled_remote_fleet()
+{
+    FleetConfig config;
+    config.seed = 5;
+    config.num_clusters = 1;
+    config.cluster.mix = typical_fleet_mix();
+    config.cluster.num_machines = 4;
+    config.cluster.machine.dram_pages = 16 * 1024;
+    TierConfig remote;
+    remote.kind = TierKind::kRemote;
+    remote.band_lo = 1.0;
+    remote.band_hi = 4.0;
+    config.cluster.machine.tiers = {remote};
+    MemPoolParams &pool = config.cluster.pool;
+    pool.enabled = true;
+    pool.lease_pages = 1024;
+    pool.max_leases_per_borrower = 2;
+    pool.lease_term_periods = 8;
+    pool.grace_periods = 2;
+    pool.drain_pages_per_period = 512;
+    pool.donor_reserve_frac = 0.08;
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 30; ++i)
+        fleet.step();
+    EXPECT_GT(fleet.fault_report().pool_leases_granted, 0u);
+    return fleet.state_digest();
+}
+
+TEST(OneTierStack, DigestsMatchRecordedTrajectories)
+{
+    const PinnedDigest cases[] = {
+        {"nvm_breaker_machine", nvm_breaker_machine,
+         0x3877850ce8348e09ull},
+        {"static_remote_fleet", static_remote_fleet,
+         0x38b7eead68bbb70eull},
+        {"pooled_remote_fleet", pooled_remote_fleet,
+         0xa7d8c626c0109347ull},
+    };
+    for (const PinnedDigest &c : cases)
+        EXPECT_EQ(c.run(), c.digest) << c.name;
 }
 
 }  // namespace

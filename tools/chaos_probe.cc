@@ -13,10 +13,10 @@
 //                    [--tiers 1|2|3] [--pooling] [--donor-fph F]
 //                    [--corrupt P] [--degrade P] [--agent-crash P]
 //
-// --tiers picks the memory stack: 1 = zswap only, 2 = the legacy
-// remote tier (default; bit-identical to the pre-flag probe), 3 = an
-// explicit NVM + remote TierStack so the fault plane fires against
-// every depth at once.
+// --tiers picks the memory stack: 1 = zswap only, 2 = one
+// breaker-guarded remote tier for ages [T, 4T) (default), 3 = an NVM +
+// remote TierStack so the fault plane fires against every depth at
+// once.
 //
 // --pooling (tiers 2 and 3 only) swaps the static remote tier for
 // lease-based cluster memory pooling and lights up the broker fault
@@ -313,11 +313,16 @@ main(int argc, char **argv)
     } else if (tiers == 2) {
         // Pooled remote capacity comes from granted leases, not a
         // static budget; the Cluster constructor marks the tier.
+        TierConfig remote;
+        remote.kind = TierKind::kRemote;
         if (!pooling)
-            config.cluster.machine.remote.capacity_pages = 1ull << 20;
-        config.cluster.machine.tier_breaker_enabled = true;
+            remote.remote.capacity_pages = 1ull << 20;
+        remote.band_lo = 1.0;
+        remote.band_hi = 4.0;
+        remote.breaker_enabled = true;
+        config.cluster.machine.tiers = {remote};
     } else {
-        // Explicit three-tier stack: NVM takes the moderately cold
+        // Three-tier stack: NVM takes the moderately cold
         // band, remote memory everything colder, zswap the rejects.
         TierConfig nvm;
         nvm.kind = TierKind::kNvm;

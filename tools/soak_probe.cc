@@ -19,10 +19,10 @@
 //                   [--tiers 1|2|3] [--pooling] [--min-crashes N]
 //                   [--ckpt PATH]
 //
-// --tiers picks the victim's memory stack: 1 = zswap only, 2 = the
-// legacy remote tier (default; bit-identical to the pre-flag probe),
-// 3 = an explicit NVM + remote TierStack so kill/resume covers the
-// per-tier checkpoint sections at every depth.
+// --tiers picks the victim's memory stack: 1 = zswap only, 2 = one
+// breaker-guarded remote tier for ages [T, 4T) (default), 3 = an NVM +
+// remote TierStack so kill/resume covers the per-tier checkpoint
+// sections at every depth.
 //
 // --pooling replaces the static remote tier with lease-based cluster
 // memory pooling (tiers 2 and 3 only): the broker's lease table and
@@ -85,9 +85,14 @@ soak_config(std::uint32_t num_clusters, std::uint64_t seed, int tiers,
         // With pooling the remote tier is purely lease-backed: the
         // Cluster constructor marks it pooled, and capacity comes
         // from granted leases rather than a static budget.
+        TierConfig remote;
+        remote.kind = TierKind::kRemote;
         if (!pooling)
-            config.cluster.machine.remote.capacity_pages = 1ull << 20;
-        config.cluster.machine.tier_breaker_enabled = true;
+            remote.remote.capacity_pages = 1ull << 20;
+        remote.band_lo = 1.0;
+        remote.band_hi = 4.0;
+        remote.breaker_enabled = true;
+        config.cluster.machine.tiers = {remote};
     } else if (tiers == 3) {
         TierConfig nvm;
         nvm.kind = TierKind::kNvm;
