@@ -122,8 +122,6 @@ run_config(const MachineConfig &config, std::uint64_t seed)
     std::size_t ni = machine.tiers().find(TierKind::kNvm);
     if (ni < machine.tiers().size())
         outcome.nvm_utilization = machine.tiers().tier(ni).utilization();
-    else if (machine.tiers().deep_size() > 0)
-        outcome.nvm_utilization = machine.tiers().tier(1).utilization();
 
     double app = 0.0, stalls = 0.0, latency_sum = 0.0;
     std::uint64_t promotions = 0;

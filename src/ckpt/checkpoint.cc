@@ -107,17 +107,30 @@ Serializer::put_string(const std::string &s)
     put_bytes(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
 }
 
+template <typename T>
 void
-Serializer::put_u64_vec(const std::vector<std::uint64_t> &v)
+Serializer::put_vec(const std::vector<T> &v)
 {
     put_u64(v.size());
     if constexpr (std::endian::native == std::endian::little) {
         put_bytes(reinterpret_cast<const std::uint8_t *>(v.data()),
-                  v.size() * sizeof(std::uint64_t));
+                  v.size() * sizeof(T));
     } else {
-        for (std::uint64_t x : v)
-            put_u64(x);
+        for (T x : v)
+            put_le(x);
     }
+}
+
+void
+Serializer::put_u64_vec(const std::vector<std::uint64_t> &v)
+{
+    put_vec(v);
+}
+
+void
+Serializer::put_u32_vec(const std::vector<std::uint32_t> &v)
+{
+    put_vec(v);
 }
 
 void
@@ -164,20 +177,33 @@ Deserializer::get_string()
     return std::string(bytes.begin(), bytes.end());
 }
 
-std::vector<std::uint64_t>
-Deserializer::get_u64_vec()
+template <typename T>
+std::vector<T>
+Deserializer::get_vec()
 {
-    std::size_t n = get_size(remaining() / 8, 8);
-    std::vector<std::uint64_t> v(n);
+    std::size_t n = get_size(remaining() / sizeof(T), sizeof(T));
+    std::vector<T> v(n);
     if constexpr (std::endian::native == std::endian::little) {
-        std::span<const std::uint8_t> bytes = get_bytes(n * 8);
+        std::span<const std::uint8_t> bytes = get_bytes(n * sizeof(T));
         if (!bytes.empty())
             std::memcpy(v.data(), bytes.data(), bytes.size());
     } else {
-        for (std::uint64_t &x : v)
-            x = get_u64();
+        for (T &x : v)
+            x = get_le<T>();
     }
     return v;
+}
+
+std::vector<std::uint64_t>
+Deserializer::get_u64_vec()
+{
+    return get_vec<std::uint64_t>();
+}
+
+std::vector<std::uint32_t>
+Deserializer::get_u32_vec()
+{
+    return get_vec<std::uint32_t>();
 }
 
 void

@@ -50,16 +50,22 @@ namespace sdfm {
 /** "SDFMCKPT", read as a little-endian u64. */
 inline constexpr std::uint64_t kCkptMagic = 0x54504B434D464453ULL;
 
-/** Wire-format version this build writes and accepts. Version 4:
+/** Wire-format version this build writes and accepts. Version 5:
+ *  each zswap fact is written once. A Memcg writes one u32 handle per
+ *  in-zswap page (no page ids, no count) and no residency counters;
+ *  Zswap writes one checksum per live handle (no handles); the
+ *  zsmalloc arena writes a (u16 size, u32 zspage) record per live slot
+ *  only, takes liveness from its free list, and recounts its
+ *  occupancy and byte/object totals on load. (Version 4:
  *  MachineConfig describes deep tiers only through its `tiers` vector,
  *  so the "config" fingerprint no longer carries the single-tier NVM
  *  and remote params, the band factor, the tier breaker or the donor
- *  failure rate. (Version 3: config-rollout fault kinds grew the
+ *  failure rate. Version 3: config-rollout fault kinds grew the
  *  FaultInjector stats block, the node agent carries a config epoch,
  *  and rollout-supervised fleets add a "rollout" section. Version 2:
  *  memory-pooling fault kinds grew the per-machine FaultInjector stats
  *  block, and pooled fleets added "pool.NNNN" lease sections.) */
-inline constexpr std::uint32_t kCkptFormatVersion = 4;
+inline constexpr std::uint32_t kCkptFormatVersion = 5;
 
 /** Typed outcome of checkpoint container and restore operations. */
 enum class CkptStatus : std::uint8_t
@@ -129,6 +135,9 @@ class Serializer
     /** u64 count prefix + one u64 per element. */
     void put_u64_vec(const std::vector<std::uint64_t> &v);
 
+    /** u64 count prefix + one u32 per element. */
+    void put_u32_vec(const std::vector<std::uint32_t> &v);
+
     /** Full engine state of an Rng stream. */
     void put_rng(const Rng &rng);
 
@@ -139,6 +148,9 @@ class Serializer
     ByteBuffer take() { return std::move(buf_); }
 
   private:
+    /** put_u64_vec/put_u32_vec: count prefix, then the elements. */
+    template <typename T> void put_vec(const std::vector<T> &v);
+
     template <typename T>
     void
     put_le(T v)
@@ -218,6 +230,8 @@ class Deserializer
 
     std::vector<std::uint64_t> get_u64_vec();
 
+    std::vector<std::uint32_t> get_u32_vec();
+
     void get_rng(Rng &rng);
 
     void get_age_histogram(AgeHistogram &h);
@@ -242,6 +256,9 @@ class Deserializer
     bool at_end() const { return pos_ == size_; }
 
   private:
+    /** get_u64_vec/get_u32_vec: count prefix, then the elements. */
+    template <typename T> std::vector<T> get_vec();
+
     template <typename T>
     T
     get_le()

@@ -201,7 +201,7 @@ Cluster::coverage() const
     std::uint64_t stored = 0;
     for (const auto &machine : machines_) {
         cold += machine->cold_pages_min_threshold();
-        stored += machine->zswap_stored_pages();
+        stored += machine->far_memory_pages();
     }
     if (cold == 0)
         return 0.0;

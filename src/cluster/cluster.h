@@ -135,7 +135,11 @@ class Cluster
      */
     double cold_memory_fraction() const;
 
-    /** Cluster-level cold-memory coverage (Section 6.1). */
+    /**
+     * Cluster-level cold-memory coverage (Section 6.1): pages in any
+     * far tier over cold pages, summed over machines the way
+     * FarMemorySystem::fleet_coverage() sums the fleet.
+     */
     double coverage() const;
 
     /** Per-machine cold-memory fractions (Figure 2). */

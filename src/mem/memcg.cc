@@ -101,11 +101,10 @@ void
 Memcg::set_zswap_handle(PageId p, ZsHandle h)
 {
     SDFM_ASSERT(h != 0);
-    SDFM_ASSERT(h <= UINT32_MAX);
     if (zswap_handles_.empty())
         zswap_handles_.assign(pages_.size(), 0);
     SDFM_ASSERT(zswap_handles_[p] == 0);
-    zswap_handles_[p] = static_cast<std::uint32_t>(h);
+    zswap_handles_[p] = h;
 }
 
 void
@@ -312,26 +311,17 @@ Memcg::ckpt_save(Serializer &s) const
     // count, then per-page (age, flags, content, version) records.
     pages_.ckpt_save(s);
 
-    // (page, handle) records in page-id order: the pages flagged in
-    // zswap are exactly the pages with a handle (ckpt_load rejects any
-    // other state).
-    s.put_u64(zswap_pages_);
-    std::uint64_t written = 0;
-    for (PageId p = 0; p < zswap_handles_.size(); ++p) {
-        if (zswap_handles_[p] == 0)
-            continue;
-        SDFM_ASSERT(pages_.test(p, kPageInZswap));
-        s.put_u32(p);
-        s.put_u64(zswap_handles_[p]);
-        ++written;
+    // One u32 handle per zswap-flagged page, in page order: the page
+    // ids and the count follow from the flags.
+    for (PageId p = 0; p < num_pages(); ++p) {
+        if (pages_.test(p, kPageInZswap)) {
+            SDFM_ASSERT(zswap_handle(p) != 0);
+            s.put_u32(zswap_handles_[p]);
+        }
     }
-    SDFM_ASSERT(written == zswap_pages_);
 
     s.put_age_histogram(cold_hist_);
     s.put_age_histogram(promo_hist_);
-    s.put_u64(resident_pages_);
-    s.put_u64(zswap_pages_);
-    s.put_u64(tier_pages_);
     s.put_u8(reclaim_threshold_);
     s.put_bool(zswap_enabled_);
     s.put_bool(best_effort_);
@@ -412,33 +402,33 @@ Memcg::ckpt_load(Deserializer &d)
         return false;
     std::size_t num = pages_.size();
 
-    // Handles are checked against the arena by Machine::ckpt_load,
-    // once the zswap section has loaded.
+    // Residency counters follow from the flags, once no page claims
+    // two far tiers.
+    for (std::size_t w = 0; w < pages_.num_words(); ++w) {
+        if ((pages_.in_zswap_words()[w] & pages_.in_far_words()[w]) != 0)
+            return false;
+    }
+    zswap_pages_ = flagged_zswap;
+    tier_pages_ = flagged_tier;
+    resident_pages_ = num - flagged_zswap - flagged_tier;
+
+    // One u32 handle per zswap-flagged page, in page order. Handles
+    // are checked against the arena by Machine::ckpt_load, once the
+    // zswap section has loaded.
     zswap_handles_.clear();
-    std::size_t num_handles = d.get_size(num, 12);
-    if (!d.ok())
-        return false;
-    if (num_handles > 0)
+    if (flagged_zswap > 0) {
         zswap_handles_.assign(num, 0);
-    PageId prev_page = 0;
-    for (std::size_t i = 0; i < num_handles; ++i) {
-        PageId p = d.get_u32();
-        ZsHandle h = d.get_u64();
-        if (!d.ok() || h == 0 || h > UINT32_MAX || p >= num ||
-            (i > 0 && p <= prev_page)) {
-            return false;
+        for (PageId p = 0; p < num; ++p) {
+            if (!pages_.test(p, kPageInZswap))
+                continue;
+            zswap_handles_[p] = d.get_u32();
+            if (zswap_handles_[p] == 0)
+                return false;
         }
-        if (!pages_.test(p, kPageInZswap))
-            return false;
-        prev_page = p;
-        zswap_handles_[p] = static_cast<std::uint32_t>(h);
     }
 
     d.get_age_histogram(cold_hist_);
     d.get_age_histogram(promo_hist_);
-    resident_pages_ = d.get_u64();
-    zswap_pages_ = d.get_u64();
-    tier_pages_ = d.get_u64();
     reclaim_threshold_ = d.get_u8();
     zswap_enabled_ = d.get_bool();
     best_effort_ = d.get_bool();
@@ -484,17 +474,7 @@ Memcg::ckpt_load(Deserializer &d)
         prev_deep = p;
     }
 
-    if (!ckpt_load_memcg_stats(d, stats_))
-        return false;
-
-    // Residency counters must reconcile with the restored page flags
-    // and the handles must cover exactly the zswap-flagged pages.
-    if (zswap_pages_ != flagged_zswap || tier_pages_ != flagged_tier ||
-        num_handles != flagged_zswap ||
-        resident_pages_ + zswap_pages_ + tier_pages_ != num) {
-        return false;
-    }
-    return true;
+    return ckpt_load_memcg_stats(d, stats_);
 }
 
 std::vector<PageId>

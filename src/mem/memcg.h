@@ -307,7 +307,7 @@ class Memcg : public Checkpointable
         return zswap_handles_.empty() ? 0 : zswap_handles_[p];
     }
 
-    /** Record @p h (non-zero, below 2^32) for a page with no handle. */
+    /** Record non-zero handle @p h for a page with no handle. */
     void set_zswap_handle(PageId p, ZsHandle h);
     void clear_zswap_handle(PageId p);
 
@@ -316,7 +316,7 @@ class Memcg : public Checkpointable
      * Empty until the first zswap store (or a restore that carries
      * handles), so cgroups that never reach zswap pay nothing.
      */
-    const std::vector<std::uint32_t> &zswap_handles() const
+    const std::vector<ZsHandle> &zswap_handles() const
     {
         return zswap_handles_;
     }
@@ -350,10 +350,11 @@ class Memcg : public Checkpointable
 
     /**
      * Checkpointable: snapshots the complete cgroup (identity,
-     * per-page metadata, zswap handles in ascending page order, both
-     * histograms, residency counters, agent knobs, huge-region
-     * bitmap, and cumulative stats). ckpt_load() cross-checks the
-     * residency counters against the restored page flags.
+     * per-page metadata, one u32 zswap handle per kPageInZswap page
+     * in page order, both histograms, agent knobs, huge-region
+     * bitmap, deep-tier indices and cumulative stats). The residency
+     * counters are not written: ckpt_load() derives them from the
+     * restored page flags.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;
@@ -371,17 +372,20 @@ class Memcg : public Checkpointable
     PageTable pages_;
     /**
      * Per-page zsmalloc handle, 0 for pages not in zswap; allocated
-     * lazily like page_tier_. A handle is an arena entry index, so it
-     * fits the u32 a swapped-out PTE would hold.
+     * lazily like page_tier_.
      */
-    // sdfm-state: derived(mirror of the arena entry table: per-page
+    // sdfm-state: derived(mirror of the arena slot table: per-page
     // in-zswap flags and the arena alloc/free aggregates are both
     // digested, so divergence here cannot hide)
-    std::vector<std::uint32_t> zswap_handles_;
+    std::vector<ZsHandle> zswap_handles_;
     AgeHistogram cold_hist_;
     AgeHistogram promo_hist_;
+    // sdfm-state: derived(ckpt_load counts the pages not flagged in
+    // any far tier)
     std::uint64_t resident_pages_ = 0;
+    // sdfm-state: derived(ckpt_load counts the kPageInZswap flags)
     std::uint64_t zswap_pages_ = 0;
+    // sdfm-state: derived(ckpt_load counts the kPageInFarTier flags)
     std::uint64_t tier_pages_ = 0;
     /**
      * Per-page deep-tier stack index; empty until some page is stored

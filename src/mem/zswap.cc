@@ -278,17 +278,12 @@ Zswap::ckpt_save(Serializer &s) const
     s.put_rng(rng_);
     s.put_bool(verify_roundtrip_);
 
-    // (handle, checksum) records for the live handles, ascending.
-    s.put_u64(arena_.live_objects());
-    std::uint64_t written = 0;
+    // One checksum per live handle, ascending; the arena says which
+    // handles are live.
     for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
-        if (!arena_.is_live(h))
-            continue;
-        s.put_u64(h);
-        s.put_u64(checksums_[h]);
-        ++written;
+        if (arena_.is_live(h))
+            s.put_u64(checksums_[h]);
     }
-    SDFM_ASSERT(written == arena_.live_objects());
 }
 
 bool
@@ -310,20 +305,12 @@ Zswap::ckpt_load(Deserializer &d)
         return false;
 
     checksums_.assign(arena_.handle_limit(), 0);
-    std::size_t num = d.get_size(arena_.live_objects(), 16);
-    if (!d.ok() || num != arena_.live_objects())
-        return false;
-    ZsHandle prev = 0;
-    for (std::size_t i = 0; i < num; ++i) {
-        ZsHandle handle = d.get_u64();
-        std::uint64_t sum = d.get_u64();
-        if (!d.ok() || !arena_.is_live(handle) ||
-            (i > 0 && handle <= prev)) {
-            return false;
-        }
-        prev = handle;
-        checksums_[handle] = sum;
+    for (ZsHandle h = 1; h < arena_.handle_limit(); ++h) {
+        if (arena_.is_live(h))
+            checksums_[h] = d.get_u64();
     }
+    if (!d.ok())
+        return false;
     update_arena_metrics();
     return true;
 }

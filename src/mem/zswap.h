@@ -157,12 +157,12 @@ class Zswap : public FarTier
     void check_invariants() const;
 
     /**
-     * Checkpointable: snapshots the arena (entry table + size-class
-     * occupancy), the integrity-checksum table in ascending handle
-     * order, the latency-jitter RNG, and the cumulative counters.
-     * The compressor backend and metric bindings are reconstructed
-     * wiring, not state. ckpt_load() rejects checksum tables that do
-     * not cover exactly the live arena handles.
+     * Checkpointable: snapshots the arena (see ZsmallocArena), the
+     * cumulative counters, the latency-jitter RNG, and one integrity
+     * checksum per live arena handle in ascending handle order (no
+     * handles or count: the restored arena says which are live). The
+     * compressor backend and metric bindings are reconstructed
+     * wiring, not state.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;

@@ -250,7 +250,8 @@ Machine::check_invariants() const
     SDFM_INVARIANT(zswap_pages == zswap_->stored_pages(),
                    "per-job zswap residency sums to the store's count");
     SDFM_INVARIANT(zswap_handles_match_arena(),
-                   "page handles cover exactly the live arena handles");
+                   "page handles cover exactly the live arena handles and "
+                   "sum to each cgroup's stored bytes");
     SDFM_INVARIANT(tiers_in_range,
                    "every tier-resident page names a configured tier");
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
@@ -277,7 +278,8 @@ Machine::zswap_handles_match_arena() const
                                        0);
     std::uint64_t count = 0;
     for (const auto &job : jobs_) {
-        for (std::uint32_t h : job->memcg().zswap_handles()) {
+        std::uint64_t bytes = 0;
+        for (ZsHandle h : job->memcg().zswap_handles()) {
             if (h == 0)
                 continue;
             if (!arena.is_live(h))
@@ -287,7 +289,10 @@ Machine::zswap_handles_match_arena() const
                 return false;
             claimed[h / 64] |= bit;
             ++count;
+            bytes += arena.payload_size(h);
         }
+        if (bytes != job->memcg().stats().compressed_bytes_stored)
+            return false;
     }
     return count == arena.live_objects();
 }
@@ -861,22 +866,19 @@ Machine::ckpt_load(Deserializer &d)
         return false;
 
     // Cross-structure accounting: the agent manages exactly the
-    // machine's jobs, per-job far-memory residency reconciles with
-    // the store and tier, and DRAM capacity is respected (checkpoints
-    // are taken between steps, where handle_pressure() guarantees it).
+    // machine's jobs, per-job deep-tier residency reconciles with the
+    // tiers (zswap residency did with the arena, above), and DRAM
+    // capacity is respected (checkpoints are taken between steps,
+    // where handle_pressure() guarantees it).
     if (agent_.managed_jobs() != jobs_.size())
         return false;
-    std::uint64_t zswap_pages = 0;
     std::vector<std::uint64_t> tier_counts(tiers_.size(), 0);
     for (const auto &job : jobs_) {
         if (agent_.slo_breaker_of(job->id()) == nullptr)
             return false;
-        zswap_pages += job->memcg().zswap_pages();
         if (!job->memcg().add_tier_page_counts(tier_counts))
             return false;
     }
-    if (zswap_pages != zswap_->stored_pages())
-        return false;
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
         if (tier_counts[i] != tiers_.tier(i).used_pages())
             return false;

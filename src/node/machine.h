@@ -349,8 +349,10 @@ class Machine
   private:
     /**
      * True iff the jobs' zswap handles and the arena's live handles
-     * are in bijection: each page handle is live, no two pages share
-     * one, and every live handle belongs to some page.
+     * are in bijection -- each page handle is live, no two pages share
+     * one, and every live handle belongs to some page -- and each
+     * cgroup's compressed_bytes_stored is the sum of its handles'
+     * payload sizes.
      */
     bool zswap_handles_match_arena() const;
 

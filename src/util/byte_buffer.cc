@@ -17,7 +17,7 @@ constexpr std::size_t kHugePageBytes = 2 * 1024 * 1024;
 bool
 mapped(std::size_t capacity)
 {
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
     (void)capacity;
     return false;
 #else

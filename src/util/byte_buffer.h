@@ -13,8 +13,11 @@
  * already written), capacities from 2 MiB up are whole huge pages
  * (madvise(MADV_HUGEPAGE), so first touch faults 2 MiB at a time), and
  * release unmaps them. Smaller buffers, and every buffer under
- * AddressSanitizer (which checks bounds only on memory it allocated),
- * use malloc/realloc.
+ * AddressSanitizer (which checks bounds only on memory it allocated)
+ * or ThreadSanitizer (which does not see mremap, so a moved mapping
+ * keeps the access history of whichever thread last mapped that
+ * address, and unrelated buffers on two threads read as a race), use
+ * malloc/realloc.
  */
 
 #ifndef SDFM_UTIL_BYTE_BUFFER_H

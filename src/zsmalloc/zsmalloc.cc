@@ -49,7 +49,9 @@ ZsmallocArena::ZsmallocArena(bool keep_payload_bytes)
         cls.objects_per_zspage =
             cls.pages_per_zspage * kPageSize / cls.object_size;
     }
-    entries_.emplace_back();  // slot 0 reserved: handle 0 is invalid
+    slots_.emplace_back();  // slot 0 reserved: handle 0 is invalid
+    if (keep_payload_bytes_)
+        payloads_.emplace_back();
 }
 
 std::uint16_t
@@ -106,72 +108,72 @@ ZsmallocArena::store(std::uint32_t size, const std::uint8_t *data)
     }
     ++cls.live;
 
-    std::uint64_t slot;
-    if (!free_entries_.empty()) {
-        slot = free_entries_.back();
-        free_entries_.pop_back();
+    ZsHandle handle;
+    if (!free_slots_.empty()) {
+        handle = free_slots_.back();
+        free_slots_.pop_back();
     } else {
-        slot = entries_.size();
-        entries_.emplace_back();
+        SDFM_ASSERT(slots_.size() < UINT32_MAX);
+        handle = static_cast<ZsHandle>(slots_.size());
+        slots_.emplace_back();
+        if (keep_payload_bytes_)
+            payloads_.emplace_back();
     }
-    Entry &entry = entries_[slot];
-    entry.size = size;
-    entry.class_idx = class_idx;
-    entry.zspage = target;
-    entry.live = true;
+    Slot &slot = slots_[handle];
+    slot.size = static_cast<std::uint16_t>(size);
+    slot.zspage = target;
     if (keep_payload_bytes_ && data != nullptr)
-        entry.bytes.assign(data, data + size);
+        payloads_[handle].assign(data, data + size);
 
     ++stats_.total_allocs;
     ++stats_.live_objects;
     stats_.stored_bytes += size;
-    return slot;
+    return handle;
 }
 
 void
 ZsmallocArena::release(ZsHandle handle)
 {
-    SDFM_ASSERT(handle > 0 && handle < entries_.size());
-    Entry &entry = entries_[handle];
-    SDFM_ASSERT(entry.live);
-    SizeClass &cls = classes_[entry.class_idx];
-    SDFM_ASSERT(cls.zspage_occupancy[entry.zspage] > 0);
-    std::uint32_t occ = --cls.zspage_occupancy[entry.zspage];
+    SDFM_ASSERT(is_live(handle));
+    Slot &slot = slots_[handle];
+    SizeClass &cls = classes_[class_for_size(slot.size)];
+    SDFM_ASSERT(cls.zspage_occupancy[slot.zspage] > 0);
+    std::uint32_t occ = --cls.zspage_occupancy[slot.zspage];
     --cls.live;
     if (occ == 0) {
-        cls.free_zspage_slots.push_back(entry.zspage);
+        cls.free_zspage_slots.push_back(slot.zspage);
         stats_.pool_bytes -=
             static_cast<std::uint64_t>(cls.pages_per_zspage) * kPageSize;
     } else if (occ == cls.objects_per_zspage - 1) {
         // Transitioned from full to having space: allocatable again.
-        cls.candidates.push_back(entry.zspage);
+        cls.candidates.push_back(slot.zspage);
     }
 
-    stats_.stored_bytes -= entry.size;
+    stats_.stored_bytes -= slot.size;
     --stats_.live_objects;
     ++stats_.total_frees;
-    entry.live = false;
-    entry.bytes.clear();
-    entry.bytes.shrink_to_fit();
-    free_entries_.push_back(handle);
+    slot = Slot{};
+    if (keep_payload_bytes_) {
+        payloads_[handle].clear();
+        payloads_[handle].shrink_to_fit();
+    }
+    free_slots_.push_back(handle);
 }
 
 std::uint32_t
 ZsmallocArena::payload_size(ZsHandle handle) const
 {
-    SDFM_ASSERT(handle > 0 && handle < entries_.size());
-    const Entry &entry = entries_[handle];
-    SDFM_ASSERT(entry.live);
-    return entry.size;
+    SDFM_ASSERT(is_live(handle));
+    return slots_[handle].size;
 }
 
 const std::uint8_t *
 ZsmallocArena::payload(ZsHandle handle) const
 {
-    SDFM_ASSERT(handle > 0 && handle < entries_.size());
-    const Entry &entry = entries_[handle];
-    SDFM_ASSERT(entry.live);
-    return entry.bytes.empty() ? nullptr : entry.bytes.data();
+    SDFM_ASSERT(is_live(handle));
+    if (!keep_payload_bytes_ || payloads_[handle].empty())
+        return nullptr;
+    return payloads_[handle].data();
 }
 
 std::uint64_t
@@ -182,7 +184,7 @@ ZsmallocArena::compact()
 
     // Per class: the minimum number of zspages that can hold the live
     // objects. Migrate objects out of the sparsest zspages until that
-    // bound is met. We model migration by rewriting entry zspage ids.
+    // bound is met. We model migration by rewriting slot zspage ids.
     for (std::uint16_t class_idx = 0; class_idx < classes_.size();
          ++class_idx) {
         SizeClass &cls = classes_[class_idx];
@@ -216,10 +218,9 @@ ZsmallocArena::compact()
             live_zspages.end());
         std::size_t recv_pos = 0;
 
-        for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
-            Entry &entry = entries_[slot];
-            if (!entry.live || entry.class_idx != class_idx ||
-                !evacuate[entry.zspage]) {
+        for (Slot &slot : slots_) {
+            if (slot.size == 0 || class_for_size(slot.size) != class_idx ||
+                !evacuate[slot.zspage]) {
                 continue;
             }
             while (recv_pos < receivers.size() &&
@@ -229,10 +230,10 @@ ZsmallocArena::compact()
             }
             SDFM_ASSERT(recv_pos < receivers.size());
             std::uint32_t dst = receivers[recv_pos];
-            --cls.zspage_occupancy[entry.zspage];
+            --cls.zspage_occupancy[slot.zspage];
             ++cls.zspage_occupancy[dst];
-            entry.zspage = dst;
-            stats_.compaction_moved_bytes += entry.size;
+            slot.zspage = dst;
+            stats_.compaction_moved_bytes += slot.size;
         }
 
         // Release evacuated zspages.
@@ -257,115 +258,132 @@ ZsmallocArena::compact()
     return released;
 }
 
+ZsmallocArena::Recount
+ZsmallocArena::recount() const
+{
+    Recount r;
+    r.occupancy.resize(classes_.size());
+    r.class_live.assign(classes_.size(), 0);
+    for (const Slot &slot : slots_) {
+        if (slot.size == 0)
+            continue;
+        const std::uint16_t c = class_for_size(slot.size);
+        std::vector<std::uint32_t> &occupancy = r.occupancy[c];
+        if (slot.zspage >= occupancy.size())
+            occupancy.resize(std::size_t{slot.zspage} + 1, 0);
+        ++occupancy[slot.zspage];
+        ++r.class_live[c];
+        ++r.live_objects;
+        r.stored_bytes += slot.size;
+    }
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        const std::uint64_t zspage_bytes =
+            static_cast<std::uint64_t>(classes_[c].pages_per_zspage) *
+            kPageSize;
+        for (std::uint32_t occ : r.occupancy[c])
+            r.pool_bytes += occ > 0 ? zspage_bytes : 0;
+    }
+    return r;
+}
+
+bool
+ZsmallocArena::consistent() const
+{
+    const Recount r = recount();
+    if (r.live_objects != stats_.live_objects ||
+        r.stored_bytes != stats_.stored_bytes ||
+        r.pool_bytes != stats_.pool_bytes ||
+        stats_.total_allocs - stats_.total_frees != r.live_objects) {
+        return false;
+    }
+
+    // Per class: occupancy matches the slots and stays within
+    // capacity, every zspage is either occupied or on the free list,
+    // once, and candidates name real zspages.
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        const SizeClass &cls = classes_[c];
+        const std::vector<std::uint32_t> &want = r.occupancy[c];
+        const std::size_t num_zspages = cls.zspage_occupancy.size();
+        if (cls.live != r.class_live[c] || want.size() > num_zspages)
+            return false;
+        std::vector<bool> listed(num_zspages, false);
+        for (std::uint32_t id : cls.free_zspage_slots) {
+            if (id >= num_zspages || listed[id] ||
+                cls.zspage_occupancy[id] != 0) {
+                return false;
+            }
+            listed[id] = true;
+        }
+        for (std::size_t id = 0; id < num_zspages; ++id) {
+            const std::uint32_t occ = cls.zspage_occupancy[id];
+            if (occ != (id < want.size() ? want[id] : 0) ||
+                occ > cls.objects_per_zspage || (occ == 0 && !listed[id])) {
+                return false;
+            }
+        }
+        for (std::uint32_t id : cls.candidates) {
+            if (id >= num_zspages)
+                return false;
+        }
+    }
+
+    // The free list holds exactly the dead slots, each once.
+    std::vector<bool> listed(slots_.size(), false);
+    for (ZsHandle handle : free_slots_) {
+        if (handle == 0 || handle >= slots_.size() ||
+            slots_[handle].size != 0 || listed[handle]) {
+            return false;
+        }
+        listed[handle] = true;
+    }
+    if (free_slots_.size() + r.live_objects != slots_.size() - 1)
+        return false;
+
+    // Kept bytes only in a keep_payload_bytes arena, and only for live
+    // slots of their size.
+    if (payloads_.size() != (keep_payload_bytes_ ? slots_.size() : 0))
+        return false;
+    for (std::size_t h = 0; h < payloads_.size(); ++h) {
+        if (!payloads_[h].empty() && payloads_[h].size() != slots_[h].size)
+            return false;
+    }
+    return true;
+}
+
 void
 ZsmallocArena::check_invariants() const
 {
     if constexpr (!kInvariantsEnabled)
         return;
-
-    // Recompute the aggregate stats from the entry table.
-    std::uint64_t live = 0;
-    std::uint64_t stored = 0;
-    std::vector<std::uint64_t> class_live(classes_.size(), 0);
-    for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
-        const Entry &entry = entries_[slot];
-        if (!entry.live)
-            continue;
-        ++live;
-        stored += entry.size;
-        SDFM_INVARIANT(entry.class_idx < classes_.size(),
-                       "live entry references a valid size class");
-        ++class_live[entry.class_idx];
-        const SizeClass &cls = classes_[entry.class_idx];
-        SDFM_INVARIANT(entry.size <= cls.object_size,
-                       "payload fits its size class");
-        SDFM_INVARIANT(entry.zspage < cls.zspage_occupancy.size(),
-                       "live entry references a valid zspage");
-        SDFM_INVARIANT(cls.zspage_occupancy[entry.zspage] > 0,
-                       "live entry sits in a backed zspage");
-    }
-    SDFM_INVARIANT(live == stats_.live_objects,
-                   "live-object count matches the entry table");
-    SDFM_INVARIANT(stored == stats_.stored_bytes,
-                   "stored-byte accounting matches summed entry sizes");
-    SDFM_INVARIANT(stats_.total_allocs - stats_.total_frees == live,
-                   "alloc/free counters reconcile with live objects");
-
-    // Per-class occupancy vs live objects, and pool-byte accounting:
-    // a zspage is backed by physical pages iff it holds objects.
-    std::uint64_t pool = 0;
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-        const SizeClass &cls = classes_[c];
-        std::uint64_t occupied = 0;
-        for (std::uint32_t occ : cls.zspage_occupancy) {
-            SDFM_INVARIANT(occ <= cls.objects_per_zspage,
-                           "zspage occupancy within capacity");
-            occupied += occ;
-            if (occ > 0) {
-                pool += static_cast<std::uint64_t>(cls.pages_per_zspage) *
-                        kPageSize;
-            }
-        }
-        SDFM_INVARIANT(occupied == cls.live,
-                       "class live count matches summed occupancy");
-        SDFM_INVARIANT(cls.live == class_live[c],
-                       "class live count matches the entry table");
-        for (std::uint32_t id : cls.free_zspage_slots) {
-            SDFM_INVARIANT(id < cls.zspage_occupancy.size(),
-                           "free zspage slot id in range");
-            SDFM_INVARIANT(cls.zspage_occupancy[id] == 0,
-                           "free zspage slots are empty");
-        }
-    }
-    SDFM_INVARIANT(pool == stats_.pool_bytes,
-                   "pool-byte accounting matches backed zspages");
-
-    // The free list holds exactly the dead entry slots.
-    for (std::uint64_t slot : free_entries_) {
-        SDFM_INVARIANT(slot > 0 && slot < entries_.size(),
-                       "free-list slot in range");
-        SDFM_INVARIANT(!entries_[slot].live,
-                       "free-list slots are dead");
-    }
-    SDFM_INVARIANT(free_entries_.size() + live == entries_.size() - 1,
-                   "every non-reserved slot is either live or free");
+    SDFM_INVARIANT(consistent(),
+                   "arena accounting and free lists match the slot table");
 }
 
 void
 ZsmallocArena::ckpt_save(Serializer &s) const
 {
     s.put_bool(keep_payload_bytes_);
-    s.put_u64(entries_.size());
-    for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
-        const Entry &entry = entries_[slot];
-        s.put_u32(entry.size);
-        s.put_u16(entry.class_idx);
-        s.put_u32(entry.zspage);
-        s.put_bool(entry.live);
-        s.put_u64(entry.bytes.size());
-        s.put_bytes(entry.bytes.data(), entry.bytes.size());
-    }
-    s.put_u64_vec(free_entries_);
-    s.put_u64(classes_.size());
+    s.put_u64(slots_.size());
+    s.put_u32_vec(free_slots_);
     for (const SizeClass &cls : classes_) {
         // Static geometry (object_size, pages/objects per zspage) is
-        // rebuilt by the constructor; only dynamic state is written.
-        s.put_u64(cls.zspage_occupancy.size());
-        for (std::uint32_t occ : cls.zspage_occupancy)
-            s.put_u32(occ);
-        s.put_u64(cls.candidates.size());
-        for (std::uint32_t id : cls.candidates)
-            s.put_u32(id);
-        s.put_u64(cls.free_zspage_slots.size());
-        for (std::uint32_t id : cls.free_zspage_slots)
-            s.put_u32(id);
-        s.put_u64(cls.live);
+        // rebuilt by the constructor; occupancy is recounted on load.
+        s.put_u32_vec(cls.candidates);
+        s.put_u32_vec(cls.free_zspage_slots);
     }
-    s.put_u64(stats_.live_objects);
-    s.put_u64(stats_.stored_bytes);
-    s.put_u64(stats_.pool_bytes);
+    for (std::size_t h = 1; h < slots_.size(); ++h) {
+        const Slot &slot = slots_[h];
+        if (slot.size == 0)
+            continue;
+        s.put_u16(slot.size);
+        s.put_u32(slot.zspage);
+        if (keep_payload_bytes_) {
+            const std::vector<std::uint8_t> &bytes = payloads_[h];
+            s.put_bool(!bytes.empty());
+            s.put_bytes(bytes.data(), bytes.size());
+        }
+    }
     s.put_u64(stats_.total_allocs);
-    s.put_u64(stats_.total_frees);
     s.put_u64(stats_.compactions);
     s.put_u64(stats_.compaction_moved_bytes);
 }
@@ -376,92 +394,90 @@ ZsmallocArena::ckpt_load(Deserializer &d)
     bool keep_bytes = d.get_bool();
     if (!d.ok() || keep_bytes != keep_payload_bytes_)
         return false;
-    std::size_t num_entries = d.get_size(SIZE_MAX / sizeof(Entry), 12);
-    if (!d.ok() || num_entries == 0)
-        return false;
-    entries_.assign(num_entries, Entry{});
-    std::uint64_t live_count = 0;
-    for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
-        Entry &entry = entries_[slot];
-        entry.size = d.get_u32();
-        entry.class_idx = d.get_u16();
-        entry.zspage = d.get_u32();
-        entry.live = d.get_bool();
-        std::size_t num_bytes = d.get_size(kMaxAlloc);
-        std::span<const std::uint8_t> bytes = d.get_bytes(num_bytes);
-        if (!d.ok())
-            return false;
-        entry.bytes.assign(bytes.begin(), bytes.end());
-        if (entry.live) {
-            ++live_count;
-            if (entry.class_idx >= kNumClasses ||
-                entry.size == 0 || entry.size > kMaxAlloc) {
-                return false;
-            }
-        }
-    }
-    free_entries_ = d.get_u64_vec();
-    std::size_t num_classes = d.get_size(kNumClasses);
-    if (!d.ok() || num_classes != classes_.size())
+    // Every slot but the reserved one costs at least 4 bytes: a free
+    // list entry or a live record.
+    std::size_t num_slots = d.get_size(UINT32_MAX, 4);
+    free_slots_ = d.get_u32_vec();
+    if (!d.ok() || num_slots == 0 || free_slots_.size() >= num_slots)
         return false;
     for (SizeClass &cls : classes_) {
-        std::size_t num_zspages = d.get_size(d.remaining() / 4, 4);
-        if (!d.ok())
-            return false;
-        cls.zspage_occupancy.assign(num_zspages, 0);
-        for (std::uint32_t &occ : cls.zspage_occupancy)
-            occ = d.get_u32();
-        std::size_t num_candidates = d.get_size(d.remaining() / 4, 4);
-        if (!d.ok())
-            return false;
-        cls.candidates.assign(num_candidates, 0);
-        for (std::uint32_t &id : cls.candidates) {
-            id = d.get_u32();
-            if (id >= num_zspages)
-                return false;
-        }
-        std::size_t num_free = d.get_size(num_zspages, 4);
-        if (!d.ok())
-            return false;
-        cls.free_zspage_slots.assign(num_free, 0);
-        for (std::uint32_t &id : cls.free_zspage_slots) {
-            id = d.get_u32();
-            if (id >= num_zspages)
-                return false;
-        }
-        cls.live = d.get_u64();
+        cls.candidates = d.get_u32_vec();
+        cls.free_zspage_slots = d.get_u32_vec();
     }
-    stats_.live_objects = d.get_u64();
-    stats_.stored_bytes = d.get_u64();
-    stats_.pool_bytes = d.get_u64();
+    if (!d.ok())
+        return false;
+
+    // A slot is live iff the free list does not name it.
+    slots_.assign(num_slots, Slot{});
+    std::vector<bool> dead(num_slots, false);
+    dead[0] = true;
+    for (ZsHandle handle : free_slots_) {
+        if (handle >= num_slots)
+            return false;
+        dead[handle] = true;
+    }
+    payloads_.assign(keep_payload_bytes_ ? num_slots : 0, {});
+    std::vector<std::uint64_t> class_live(classes_.size(), 0);
+    for (std::size_t h = 1; h < num_slots; ++h) {
+        if (dead[h])
+            continue;
+        Slot &slot = slots_[h];
+        slot.size = d.get_u16();
+        slot.zspage = d.get_u32();
+        if (!d.ok() || slot.size == 0 || slot.size > kMaxAlloc)
+            return false;
+        ++class_live[class_for_size(slot.size)];
+        if (!keep_payload_bytes_)
+            continue;
+        const std::uint8_t has_bytes = d.get_u8();
+        if (has_bytes > 1)
+            return false;
+        if (has_bytes == 1) {
+            std::span<const std::uint8_t> bytes = d.get_bytes(slot.size);
+            payloads_[h].assign(bytes.begin(), bytes.end());
+        }
+    }
     stats_.total_allocs = d.get_u64();
-    stats_.total_frees = d.get_u64();
     stats_.compactions = d.get_u64();
     stats_.compaction_moved_bytes = d.get_u64();
     if (!d.ok())
         return false;
 
-    // The free list and the live entries must partition the slots,
-    // and every live entry must sit in a backed zspage.
-    if (stats_.live_objects != live_count ||
-        free_entries_.size() + live_count != entries_.size() - 1) {
-        return false;
-    }
-    for (std::uint64_t slot : free_entries_) {
-        if (slot == 0 || slot >= entries_.size() || entries_[slot].live)
-            return false;
-    }
-    for (std::uint64_t slot = 1; slot < entries_.size(); ++slot) {
-        const Entry &entry = entries_[slot];
-        if (entry.live &&
-            (entry.zspage >=
-                 classes_[entry.class_idx].zspage_occupancy.size() ||
-             classes_[entry.class_idx].zspage_occupancy[entry.zspage] ==
-                 0)) {
+    // A class has as many zspages as it has occupied ones plus free
+    // ones. Bound each slot's zspage by that before the recount sizes
+    // its tables from them.
+    for (const Slot &slot : slots_) {
+        if (slot.size == 0)
+            continue;
+        const std::uint16_t c = class_for_size(slot.size);
+        if (slot.zspage >=
+            class_live[c] + classes_[c].free_zspage_slots.size()) {
             return false;
         }
     }
-    return true;
+
+    // Derive every count from the slots, then check the whole.
+    Recount r = recount();
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        SizeClass &cls = classes_[c];
+        std::vector<std::uint32_t> &occupancy = r.occupancy[c];
+        const std::size_t num_zspages =
+            cls.free_zspage_slots.size() +
+            static_cast<std::size_t>(std::ranges::count_if(
+                occupancy, [](std::uint32_t occ) { return occ > 0; }));
+        if (occupancy.size() > num_zspages)
+            return false;
+        occupancy.resize(num_zspages, 0);
+        cls.zspage_occupancy = std::move(occupancy);
+        cls.live = r.class_live[c];
+    }
+    stats_.live_objects = r.live_objects;
+    stats_.stored_bytes = r.stored_bytes;
+    stats_.pool_bytes = r.pool_bytes;
+    if (stats_.total_allocs < r.live_objects)
+        return false;
+    stats_.total_frees = stats_.total_allocs - r.live_objects;
+    return consistent();
 }
 
 double

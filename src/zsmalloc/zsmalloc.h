@@ -26,8 +26,11 @@
 
 namespace sdfm {
 
-/** Opaque handle to a stored payload; 0 is invalid. */
-using ZsHandle = std::uint64_t;
+/**
+ * Opaque handle to a stored payload; 0 is invalid. A handle is a slot
+ * index, so it fits the u32 a swapped-out PTE would hold.
+ */
+using ZsHandle = std::uint32_t;
 
 /** Aggregate arena statistics. */
 struct ZsmallocStats
@@ -100,32 +103,45 @@ class ZsmallocArena : public Checkpointable
     std::uint64_t live_objects() const { return stats_.live_objects; }
 
     /** One past the largest handle the arena has issued. */
-    ZsHandle handle_limit() const { return entries_.size(); }
+    ZsHandle
+    handle_limit() const
+    {
+        return static_cast<ZsHandle>(slots_.size());
+    }
 
     /** True iff @p handle currently references a live payload. */
     bool
     is_live(ZsHandle handle) const
     {
-        return handle > 0 && handle < entries_.size() &&
-               entries_[handle].live;
+        return handle > 0 && handle < slots_.size() &&
+               slots_[handle].size != 0;
     }
 
     /**
-     * Whole-arena consistency check (SDFM_INVARIANT tier): recompute
-     * live-object count, stored bytes, per-class occupancy and pool
-     * bytes from the entry table and compare against the running
-     * stats. O(entries); compiled to a no-op unless the build defines
-     * SDFM_CHECK_INVARIANTS.
+     * Whole-arena consistency check (SDFM_INVARIANT tier): consistent()
+     * must hold. O(slots); compiled to a no-op unless the build
+     * defines SDFM_CHECK_INVARIANTS.
      */
     void check_invariants() const;
 
     /**
-     * Checkpointable: snapshots the entry table, the free-entry list
-     * (verbatim order -- handle reuse order is trajectory state), and
-     * each size class's dynamic occupancy. Handles stay stable across
-     * a round trip because a handle IS the entry index. The static
-     * class geometry is rebuilt by the constructor; ckpt_load()
-     * rejects payloads whose accounting does not reconcile.
+     * Checkpointable: writes the slot count, the free-slot list
+     * (verbatim order -- handle reuse order is trajectory state), each
+     * size class's candidate and free zspage lists (verbatim), a
+     * (u16 size, u32 zspage) record per live slot in ascending handle
+     * order (plus a has-bytes flag and the payload bytes in a
+     * keep_payload_bytes arena), and the total_allocs, compactions and
+     * compaction_moved_bytes counters. A slot is live iff it is not on
+     * the free list, and its class is class_for_size(size). Handles
+     * stay stable across a round trip because a handle IS the slot
+     * index. Everything else is derived on restore, by the recount
+     * check_invariants() uses: live_objects, stored_bytes, pool_bytes,
+     * total_frees, per-class live counts and zspage occupancy (the
+     * zspage count of a class is its occupied zspages plus its free
+     * list). ckpt_load() rejects a record that leaves the arena
+     * inconsistent (see consistent()): among others a free list that
+     * names a slot or a zspage twice, a free zspage that holds
+     * objects, and a zspage over its capacity.
      */
     void ckpt_save(Serializer &s) const override;
     bool ckpt_load(Deserializer &d) override;
@@ -154,23 +170,53 @@ class ZsmallocArena : public Checkpointable
         std::uint64_t live = 0;
     };
 
-    struct Entry
+    /**
+     * One handle's slot: the payload size (0 = dead) and its zspage
+     * within size class class_for_size(size).
+     */
+    struct Slot
     {
-        std::uint32_t size = 0;
-        std::uint16_t class_idx = 0;
         std::uint32_t zspage = 0;
-        bool live = false;
-        std::vector<std::uint8_t> bytes;
+        std::uint16_t size = 0;
+    };
+    static_assert(sizeof(Slot) <= 8, "a zsmalloc slot fits in 8 bytes");
+
+    /** Accounting recounted from the slot table. */
+    struct Recount
+    {
+        /** Objects per zspage, per class; each sized to one past the
+         *  highest zspage a live slot of the class names. */
+        std::vector<std::vector<std::uint32_t>> occupancy;
+        std::vector<std::uint64_t> class_live;
+        std::uint64_t live_objects = 0;
+        std::uint64_t stored_bytes = 0;
+        std::uint64_t pool_bytes = 0;
     };
 
     static std::uint16_t class_for_size(std::uint32_t size);
-    SizeClass &size_class(std::uint16_t idx) { return classes_[idx]; }
     std::uint32_t acquire_zspage_slot(SizeClass &cls);
+    Recount recount() const;
+
+    /**
+     * True iff the running accounting equals recount(); no zspage is
+     * over capacity; each class's zspages are either occupied or on
+     * its free list, once; candidates name real zspages; the free-slot
+     * list names each dead slot once; and kept bytes exist only for
+     * live slots, at their size. check_invariants() asserts it;
+     * ckpt_load() returns it.
+     */
+    bool consistent() const;
 
     bool keep_payload_bytes_;
     std::vector<SizeClass> classes_;
-    std::vector<Entry> entries_;
-    std::vector<std::uint64_t> free_entries_;
+    std::vector<Slot> slots_;
+    std::vector<ZsHandle> free_slots_;
+    /**
+     * Payload bytes per handle, empty for a dead slot or a payload
+     * stored without bytes. Sized to slots_ in a keep_payload_bytes
+     * arena and empty otherwise.
+     */
+    std::vector<std::vector<std::uint8_t>> payloads_;
     ZsmallocStats stats_;
 };
 

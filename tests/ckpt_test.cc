@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <span>
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "arena_record.h"
 #include "autotune/gp_bandit.h"
 #include "ckpt/checkpoint.h"
 #include "cluster/cluster.h"
@@ -28,6 +30,7 @@
 #include "fault/circuit_breaker.h"
 #include "fault/fault_injector.h"
 #include "mem/memcg.h"
+#include "mem/zswap.h"
 #include "node/machine.h"
 #include "node/threshold_controller.h"
 #include "telemetry/registry.h"
@@ -904,6 +907,13 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
         spit(bad.path, t);
         expect_rejected(CkptStatus::kBadVersion);
     }
+    {  // format v4, which wrote each zswap fact several times
+        ASSERT_EQ(kCkptFormatVersion, 5u);
+        ByteBuffer t = bytes;
+        t[8] = 4;
+        spit(bad.path, t);
+        expect_rejected(CkptStatus::kBadVersion);
+    }
     {  // CRC-valid but semantically corrupt section payload
         CkptReader reader;
         ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
@@ -959,10 +969,11 @@ find_unique(std::span<const std::uint8_t> hay, const ByteBuffer &needle)
     return hits == 1 ? found : std::string::npos;
 }
 
-TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
+/** A small fleet whose arenas hold live, freed and reused handles
+ *  after 30 steps. */
+FleetConfig
+zswap_fleet_config()
 {
-    TempCkpt good("fleet_ckpt_handles_good.ckpt");
-    TempCkpt bad("fleet_ckpt_handles_bad.ckpt");
     FleetConfig config;
     config.num_clusters = 2;
     config.seed = 7;
@@ -971,16 +982,43 @@ TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
     config.cluster.machine.dram_pages = 96ull * kMiB / kPageSize;
     config.cluster.mix = typical_fleet_mix();
     config.cluster.target_utilization = 0.7;
-    FarMemorySystem fleet(config);
+    return config;
+}
+
+/** @p section's payload with @p bytes written at @p at, every other
+ *  section as read; each section gets a fresh CRC. */
+void
+write_patched(const CkptReader &reader, const std::string &section,
+              std::size_t at, const ByteBuffer &bytes,
+              const std::string &path)
+{
+    CkptWriter writer;
+    for (const CkptSection &s : reader.sections()) {
+        ByteBuffer payload(s.payload.begin(), s.payload.end());
+        if (s.name == section) {
+            ASSERT_LE(at + bytes.size(), payload.size());
+            std::copy(bytes.begin(), bytes.end(),
+                      payload.begin() + static_cast<long>(at));
+        }
+        writer.add_section(s.name, std::move(payload));
+    }
+    ASSERT_EQ(writer.write_file(path), CkptStatus::kOk);
+}
+
+TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
+{
+    TempCkpt good("fleet_ckpt_handles_good.ckpt");
+    TempCkpt bad("fleet_ckpt_handles_bad.ckpt");
+    FarMemorySystem fleet(zswap_fleet_config());
     fleet.populate();
     for (int i = 0; i < 30; ++i)
         fleet.step();
     ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
 
-    // Two consecutive zswap pages of one cluster-0 job, as saved: their
-    // two 12-byte records locate that job's handle list in the section.
-    ByteBuffer records;
-    std::size_t handle_at = 0;  // offset of the first record's handle
+    // One cluster-0 job's zswap handles, as saved (a u32 per zswap
+    // page, in page order), locate that job's handle list in the
+    // section.
+    std::size_t handle_at = 0;  // offset of the job's first handle
     ZsHandle second = 0;
     ZsHandle dead = 0;
     ZsHandle limit = 0;
@@ -995,12 +1033,9 @@ TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
             std::vector<PageId> ids = job->memcg().zswap_page_ids();
             if (ids.size() < 2)
                 continue;
-            // Wire: u32 page, u64 handle per record.
             Serializer needle;
-            for (PageId p : {ids[0], ids[1]}) {
-                needle.put_u32(p);
-                needle.put_u64(job->memcg().zswap_handle(p));
-            }
+            for (PageId p : ids)
+                needle.put_u32(job->memcg().zswap_handle(p));
             std::size_t at = find_unique(*cluster0, needle.bytes());
             if (at == std::string::npos)
                 continue;
@@ -1011,16 +1046,15 @@ TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
             }
             if (dead == 0)
                 continue;
-            records = needle.take();
-            handle_at = at + 4;
+            handle_at = at;
             second = job->memcg().zswap_handle(ids[1]);
             limit = arena.handle_limit();
             break;
         }
-        if (!records.empty())
+        if (limit != 0)
             break;
     }
-    ASSERT_FALSE(records.empty())
+    ASSERT_NE(limit, 0u)
         << "no cluster-0 job with two zswap pages and a freed handle";
 
     for (int i = 0; i < 3; ++i)
@@ -1028,36 +1062,245 @@ TEST(FleetCkpt, RestoreRejectsZswapHandlesTheArenaDoesNotBack)
     const std::uint64_t live_digest = fleet.state_digest();
     const SimTime live_now = fleet.now();
 
-    // Rewrite the first record's handle and re-seal the section CRC:
+    // Rewrite the job's first handle and re-seal the section CRC:
     // the counts all still reconcile, so only the handle check can
     // reject the file.
     auto expect_rejected_with_handle = [&](ZsHandle handle) {
-        CkptWriter writer;
-        for (const CkptSection &section : reader.sections()) {
-            ByteBuffer payload(section.payload.begin(),
-                               section.payload.end());
-            if (section.name == "cluster.0000") {
-                for (std::size_t b = 0; b < 8; ++b) {
-                    payload[handle_at + b] =
-                        static_cast<std::uint8_t>(handle >> (8 * b));
-                }
-            }
-            writer.add_section(section.name, std::move(payload));
-        }
-        ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+        Serializer patch;
+        patch.put_u32(handle);
+        write_patched(reader, "cluster.0000", handle_at, patch.bytes(),
+                      bad.path);
         EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload)
             << "handle " << handle;
         EXPECT_EQ(fleet.state_digest(), live_digest)
             << "a rejected restore mutated the live fleet";
         EXPECT_EQ(fleet.now(), live_now);
     };
-    expect_rejected_with_handle(dead);        // a freed arena slot
-    expect_rejected_with_handle(second);      // shared with the next page
-    expect_rejected_with_handle(limit + 7);   // past the arena's handles
-    expect_rejected_with_handle(1ULL << 40);  // does not fit a u32
+    expect_rejected_with_handle(dead);       // a freed arena slot
+    expect_rejected_with_handle(second);     // shared with the next page
+    expect_rejected_with_handle(limit + 7);  // past the arena's handles
 
     EXPECT_EQ(fleet.restore(good.path), CkptStatus::kOk);
     EXPECT_NE(fleet.state_digest(), live_digest);
+}
+
+TEST(FleetCkpt, RestoreRejectsAFreeZspageThatHoldsObjects)
+{
+    TempCkpt good("fleet_ckpt_zspage_good.ckpt");
+    TempCkpt bad("fleet_ckpt_zspage_bad.ckpt");
+    FarMemorySystem fleet(zswap_fleet_config());
+    fleet.populate();
+    for (int i = 0; i < 30; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+    CkptReader reader;
+    ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
+    std::optional<std::span<const std::uint8_t>> cluster0 =
+        reader.section("cluster.0000");
+    ASSERT_TRUE(cluster0.has_value());
+
+    // A cluster-0 arena record, with the first free zspage of some
+    // class rewritten to a zspage a live slot of that class occupies.
+    std::size_t arena_at = std::string::npos;
+    ByteBuffer patched;
+    for (const auto &machine : fleet.clusters()[0]->machines()) {
+        Serializer s;
+        machine->zswap().arena().ckpt_save(s);
+        std::size_t at = find_unique(*cluster0, s.bytes());
+        if (at == std::string::npos)
+            continue;
+        ArenaRecord r = ArenaRecord::decode(s.bytes());
+        for (const ArenaRecord::Live &slot : r.live) {
+            std::vector<std::uint32_t> &free =
+                r.free_zspages[ArenaRecord::class_of(slot.size)];
+            if (free.empty())
+                continue;
+            free[0] = slot.zspage;
+            patched = r.encode();
+            arena_at = at;
+            break;
+        }
+        if (arena_at != std::string::npos)
+            break;
+    }
+    ASSERT_NE(arena_at, std::string::npos)
+        << "no cluster-0 arena with a free zspage beside a live slot";
+
+    for (int i = 0; i < 3; ++i)
+        fleet.step();
+    const std::uint64_t live_digest = fleet.state_digest();
+    const SimTime live_now = fleet.now();
+    write_patched(reader, "cluster.0000", arena_at, patched, bad.path);
+    EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
+    EXPECT_EQ(fleet.state_digest(), live_digest)
+        << "a rejected restore mutated the live fleet";
+    EXPECT_EQ(fleet.now(), live_now);
+    EXPECT_EQ(fleet.restore(good.path), CkptStatus::kOk);
+}
+
+/** Accepted and rejected loads per mutated record. */
+struct MutationCounts
+{
+    int accepted = 0;
+    int rejected = 0;
+};
+
+/**
+ * Release every live handle of a restored machine, then store pages
+ * again: the restored free lists must hand out each handle and zspage
+ * slot once.
+ */
+void
+release_and_store_again(Machine &machine)
+{
+    Zswap &zswap = machine.zswap();
+    for (const auto &job : machine.jobs())
+        zswap.drop_all(job->memcg());
+    const ZsmallocArena &arena = zswap.arena();
+    ASSERT_EQ(arena.live_objects(), 0u);
+    ASSERT_EQ(arena.stored_bytes(), 0u);
+    ASSERT_EQ(arena.pool_bytes(), 0u);
+    zswap.check_invariants();
+
+    std::vector<bool> issued(std::size_t{arena.handle_limit()} + 512,
+                             false);
+    std::uint64_t stored = 0;
+    for (const auto &job : machine.jobs()) {
+        Memcg &cg = job->memcg();
+        for (PageId p = 0; p < cg.num_pages() && stored < 512; ++p) {
+            if (cg.pages().in_far_memory(p) ||
+                cg.page_test(p, kPageUnevictable) ||
+                cg.page_test(p, kPageIncompressible) ||
+                cg.region_is_huge(Memcg::region_of(p)) ||
+                !zswap.store(cg, p)) {
+                continue;
+            }
+            ZsHandle h = cg.zswap_handle(p);
+            ASSERT_LT(h, issued.size());
+            ASSERT_FALSE(issued[h]) << "handle " << h << " issued twice";
+            issued[h] = true;
+            ++stored;
+        }
+        cg.check_invariants();
+    }
+    ASSERT_GT(stored, 0u);
+    ASSERT_EQ(arena.live_objects(), stored);
+    zswap.check_invariants();
+}
+
+/**
+ * Seeded single-byte stores and bit flips in one machine checkpoint's
+ * zswap records -- the zsmalloc arena record, the Zswap checksums and
+ * each Memcg's handle list -- each loaded into a fresh machine. A load
+ * either fails or restores a machine that passes check_invariants()
+ * (which Machine::ckpt_load runs) and survives releasing every handle
+ * and storing again.
+ */
+void
+mutation_sweep(const MachineConfig &config, int mutations,
+               MutationCounts (&counts)[3])
+{
+    FleetMix mix = typical_fleet_mix();
+    Machine src(0, config, 11);
+    for (std::size_t i = 0; i < 3; ++i) {
+        src.add_job(std::make_unique<Job>(
+            static_cast<JobId>(i + 1),
+            mix.profiles[i % mix.profiles.size()], 100 + i, 0));
+    }
+    SimTime now = 0;
+    for (int i = 0; i < 40; ++i, now += config.control_period)
+        src.step(now);
+    const ZsmallocArena &arena = src.zswap().arena();
+    ASSERT_GT(arena.live_objects(), 0u);
+    ASSERT_GT(arena.stats().total_frees, 0u);
+
+    Serializer s;
+    src.ckpt_save(s);
+    const ByteBuffer good = s.take();
+
+    // [at, at + len) of each record kind: 0 arena, 1 checksums, then
+    // one handle list per job with zswap pages.
+    std::vector<std::pair<std::size_t, std::size_t>> records;
+    Serializer zs;
+    src.zswap().ckpt_save(zs);
+    std::size_t zs_at = find_unique(good, zs.bytes());
+    ASSERT_NE(zs_at, std::string::npos);
+    Serializer as;
+    arena.ckpt_save(as);
+    records.emplace_back(zs_at, as.bytes().size());
+    std::size_t sums = 8 * arena.live_objects();
+    records.emplace_back(zs_at + zs.bytes().size() - sums, sums);
+    for (const auto &job : src.jobs()) {
+        Serializer needle;
+        for (PageId p : job->memcg().zswap_page_ids())
+            needle.put_u32(job->memcg().zswap_handle(p));
+        if (needle.bytes().empty())
+            continue;
+        std::size_t at = find_unique(good, needle.bytes());
+        ASSERT_NE(at, std::string::npos);
+        records.emplace_back(at, needle.bytes().size());
+    }
+    ASSERT_GT(records.size(), 2u);
+
+    Rng rng(config.verify_zswap_roundtrip ? 23 : 29);
+    for (int i = 0; i < mutations; ++i) {
+        const std::size_t kind = static_cast<std::size_t>(i % 3);
+        const std::size_t pick =
+            kind < 2 ? kind : 2 + rng.next_below(records.size() - 2);
+        const auto [at, len] = records[pick];
+        ByteBuffer bad = good;
+        std::uint8_t &byte = bad[at + rng.next_below(len)];
+        if (rng.next_bool(0.5))
+            byte ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        else
+            byte = static_cast<std::uint8_t>(rng.next_below(256));
+
+        Machine victim(0, config, 11);
+        Deserializer d(bad);
+        if (!victim.ckpt_load(d) || !d.at_end()) {
+            ++counts[kind].rejected;
+            continue;
+        }
+        ++counts[kind].accepted;
+        release_and_store_again(victim);
+        if (::testing::Test::HasFatalFailure()) {
+            ADD_FAILURE() << "mutation " << i << " of record " << pick
+                          << " was accepted into an incoherent machine";
+            return;
+        }
+    }
+}
+
+TEST(CkptMutation, ZswapRecordsRestoreCoherentlyOrAreRejected)
+{
+    const char *names[3] = {"arena", "checksums", "handles"};
+    for (bool keep : {false, true}) {
+        MachineConfig config;
+        config.dram_pages = 16 * 1024;
+        if (keep) {
+            config.compression = CompressionMode::kReal;
+            config.verify_zswap_roundtrip = true;
+        }
+        MutationCounts counts[3];
+        mutation_sweep(config, 300, counts);
+        ASSERT_FALSE(HasFatalFailure());
+        for (std::size_t k = 0; k < 3; ++k) {
+            std::cout << (keep ? "kept payloads" : "modelled") << ' '
+                      << names[k] << ": " << counts[k].accepted
+                      << " accepted, " << counts[k].rejected
+                      << " rejected\n";
+            EXPECT_EQ(counts[k].accepted + counts[k].rejected, 100);
+        }
+        // A corrupt handle list is always caught, and so is most of a
+        // modelled arena record (a kept-payload record is mostly
+        // payload bytes, which any value fills); any checksum value is
+        // a valid, if poisoned, entry.
+        if (!keep) {
+            EXPECT_GT(counts[0].rejected, 50);
+        }
+        EXPECT_EQ(counts[1].rejected, 0);
+        EXPECT_EQ(counts[2].rejected, 100);
+    }
 }
 
 TEST(FleetCkpt, ConfigMismatchIsRejected)

@@ -76,6 +76,35 @@ TEST(ClusterTest, StepAdvancesAndAggregates)
     EXPECT_GT(cluster.trace_log().size(), 0u);
 }
 
+TEST(ClusterTest, CoverageCountsEveryFarTier)
+{
+    // With an NVM tier below zswap, most cold pages leave zswap; the
+    // cluster figure counts them, as the machine and fleet ones do.
+    ClusterConfig config = small_cluster();
+    TierConfig nvm;
+    nvm.kind = TierKind::kNvm;
+    nvm.nvm.capacity_pages = 1 << 16;
+    nvm.band_lo = 1.0;
+    nvm.band_hi = 4.0;
+    config.machine.tiers = {nvm};
+    Cluster cluster(0, config, 4);
+    cluster.populate(0);
+    for (SimTime now = 0; now < 60 * kMinute; now += kMinute)
+        cluster.step(now);
+    std::uint64_t cold = 0;
+    std::uint64_t far = 0;
+    std::uint64_t deep = 0;
+    for (const auto &machine : cluster.machines()) {
+        cold += machine->cold_pages_min_threshold();
+        far += machine->far_memory_pages();
+        deep += machine->tier_stored_pages();
+    }
+    ASSERT_GT(deep, 0u);
+    ASSERT_GT(cold, 0u);
+    EXPECT_DOUBLE_EQ(cluster.coverage(), static_cast<double>(far) /
+                                             static_cast<double>(cold));
+}
+
 TEST(ClusterTest, ChurnReplacesJobs)
 {
     ClusterConfig config = small_cluster();

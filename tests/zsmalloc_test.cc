@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the zsmalloc arena: accounting invariants, payload
- * round-trips, fragmentation behaviour, compaction, and the
- * global-vs-per-memcg arena comparison the paper describes.
+ * round-trips, fragmentation behaviour, compaction, checkpoint round
+ * trips and the restore-time rejections, and the global-vs-per-memcg
+ * arena comparison the paper describes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "arena_record.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "zsmalloc/zsmalloc.h"
@@ -242,6 +246,288 @@ TEST_P(ZsmallocChurn, AccountingInvariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZsmallocChurn,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---------------------------------------------------------------------
+// Checkpoint
+// ---------------------------------------------------------------------
+
+/**
+ * An arena after stores of mixed sizes, releases that leave holes and
+ * empty zspages, a compaction, and more releases after it. In a
+ * keep_payload_bytes arena every third payload is stored without
+ * bytes.
+ */
+struct ChurnedArena
+{
+    explicit ChurnedArena(bool keep) : arena(keep)
+    {
+        Rng rng(keep ? 11 : 12);
+        std::vector<ZsHandle> live;
+        for (int i = 0; i < 1500; ++i) {
+            auto size = static_cast<std::uint32_t>(
+                1 + rng.next_below(i % 2 == 0 ? 600 : 2990));
+            std::vector<std::uint8_t> data(size);
+            for (std::uint8_t &b : data)
+                b = static_cast<std::uint8_t>(rng.next_u64());
+            bool with_bytes = keep && i % 3 != 0;
+            ZsHandle h = arena.store(size, with_bytes ? data.data()
+                                                      : nullptr);
+            live.push_back(h);
+            if (with_bytes)
+                payloads[h] = std::move(data);
+        }
+        auto release_some = [&](std::uint64_t one_in) {
+            for (std::size_t i = 0; i < live.size();) {
+                if (rng.next_below(one_in) == 0) {
+                    arena.release(live[i]);
+                    payloads.erase(live[i]);
+                    live[i] = live.back();
+                    live.pop_back();
+                } else {
+                    ++i;
+                }
+            }
+        };
+        release_some(2);
+        EXPECT_GT(arena.compact(), 0u);
+        release_some(3);
+        arena.check_invariants();
+    }
+
+    ZsmallocArena arena;
+    std::map<ZsHandle, std::vector<std::uint8_t>> payloads;
+};
+
+ByteBuffer
+save(const ZsmallocArena &arena)
+{
+    Serializer s;
+    arena.ckpt_save(s);
+    return s.take();
+}
+
+/** Load @p bytes into a fresh arena; true iff accepted whole. */
+bool
+load(ZsmallocArena &arena, const ByteBuffer &bytes)
+{
+    Deserializer d(bytes);
+    return arena.ckpt_load(d) && d.ok() && d.at_end();
+}
+
+void
+expect_same_arena(const ZsmallocArena &a, const ZsmallocArena &b)
+{
+    EXPECT_EQ(a.handle_limit(), b.handle_limit());
+    EXPECT_EQ(a.live_objects(), b.live_objects());
+    EXPECT_EQ(a.stored_bytes(), b.stored_bytes());
+    EXPECT_EQ(a.pool_bytes(), b.pool_bytes());
+    EXPECT_EQ(a.stats().total_allocs, b.stats().total_allocs);
+    EXPECT_EQ(a.stats().total_frees, b.stats().total_frees);
+    EXPECT_EQ(a.stats().compactions, b.stats().compactions);
+    EXPECT_EQ(a.stats().compaction_moved_bytes,
+              b.stats().compaction_moved_bytes);
+    for (ZsHandle h = 1; h < a.handle_limit(); ++h) {
+        ASSERT_EQ(a.is_live(h), b.is_live(h)) << "handle " << h;
+        if (a.is_live(h)) {
+            EXPECT_EQ(a.payload_size(h), b.payload_size(h));
+        }
+    }
+}
+
+/** The restored arena keeps issuing the original's handles. */
+void
+expect_same_future(ZsmallocArena &a, ZsmallocArena &b)
+{
+    Rng rng(5);
+    for (int i = 0; i < 800; ++i) {
+        auto size = static_cast<std::uint32_t>(1 + rng.next_below(2990));
+        ASSERT_EQ(a.store(size), b.store(size)) << "store " << i;
+        ASSERT_EQ(a.pool_bytes(), b.pool_bytes());
+    }
+    EXPECT_EQ(a.compact(), b.compact());
+    EXPECT_EQ(save(a), save(b));
+}
+
+TEST(ZsmallocCkpt, ModelledArenaRoundTrips)
+{
+    ChurnedArena src(/*keep=*/false);
+    ByteBuffer bytes = save(src.arena);
+    ZsmallocArena back;
+    ASSERT_TRUE(load(back, bytes));
+    back.check_invariants();
+    expect_same_arena(src.arena, back);
+    EXPECT_EQ(save(back), bytes);
+    expect_same_future(src.arena, back);
+}
+
+TEST(ZsmallocCkpt, KeptPayloadsRoundTripByteEqual)
+{
+    ChurnedArena src(/*keep=*/true);
+    ByteBuffer bytes = save(src.arena);
+    ZsmallocArena back(/*keep_payload_bytes=*/true);
+    ASSERT_TRUE(load(back, bytes));
+    back.check_invariants();
+    expect_same_arena(src.arena, back);
+    ASSERT_FALSE(src.payloads.empty());
+    for (ZsHandle h = 1; h < back.handle_limit(); ++h) {
+        if (!back.is_live(h))
+            continue;
+        auto it = src.payloads.find(h);
+        if (it == src.payloads.end()) {
+            EXPECT_EQ(back.payload(h), nullptr) << "handle " << h;
+            continue;
+        }
+        const std::uint8_t *stored = back.payload(h);
+        ASSERT_NE(stored, nullptr) << "handle " << h;
+        EXPECT_EQ(std::vector<std::uint8_t>(stored,
+                                            stored + it->second.size()),
+                  it->second);
+    }
+    EXPECT_EQ(save(back), bytes);
+    expect_same_future(src.arena, back);
+}
+
+TEST(ZsmallocCkpt, RejectsTheOtherPayloadMode)
+{
+    ChurnedArena src(/*keep=*/false);
+    ZsmallocArena keep(/*keep_payload_bytes=*/true);
+    EXPECT_FALSE(load(keep, save(src.arena)));
+}
+
+/** A class with at least two occupied and two free zspages. */
+std::size_t
+class_with_holes(const ArenaRecord &r)
+{
+    for (std::size_t c = 0; c < kArenaRecordClasses; ++c) {
+        std::size_t occupied = 0;
+        for (const ArenaRecord::Live &slot : r.live)
+            occupied += ArenaRecord::class_of(slot.size) == c;
+        if (occupied >= 2 && r.free_zspages[c].size() >= 2)
+            return c;
+    }
+    ADD_FAILURE() << "no class with occupied and free zspages";
+    return 0;
+}
+
+TEST(ZsmallocCkpt, RejectsAFreeZspageThatHoldsObjects)
+{
+    ChurnedArena src(/*keep=*/false);
+    ArenaRecord r = ArenaRecord::decode(save(src.arena));
+    std::size_t c = class_with_holes(r);
+    auto slot = std::find_if(r.live.begin(), r.live.end(), [&](auto &s) {
+        return ArenaRecord::class_of(s.size) == c;
+    });
+    ASSERT_NE(slot, r.live.end());
+    r.free_zspages[c][0] = slot->zspage;
+    ZsmallocArena back;
+    EXPECT_FALSE(load(back, r.encode()));
+}
+
+TEST(ZsmallocCkpt, RejectsAZspageListedFreeTwice)
+{
+    ChurnedArena src(/*keep=*/false);
+    ArenaRecord r = ArenaRecord::decode(save(src.arena));
+    std::size_t c = class_with_holes(r);
+    r.free_zspages[c][1] = r.free_zspages[c][0];
+    ZsmallocArena back;
+    EXPECT_FALSE(load(back, r.encode()));
+}
+
+TEST(ZsmallocCkpt, RejectsAnEmptyZspageMissingFromTheFreeList)
+{
+    ChurnedArena src(/*keep=*/false);
+    ArenaRecord r = ArenaRecord::decode(save(src.arena));
+    std::size_t c = class_with_holes(r);
+    r.free_zspages[c].pop_back();
+    ZsmallocArena back;
+    EXPECT_FALSE(load(back, r.encode()));
+}
+
+TEST(ZsmallocCkpt, RejectsOccupancyAboveCapacity)
+{
+    // One 4000 B object per zspage: moving the second object onto the
+    // first one's zspage leaves every zspage occupied, so only the
+    // capacity check can refuse it.
+    ZsmallocArena arena;
+    arena.store(4000);
+    arena.store(4000);
+    arena.store(4000);
+    ArenaRecord r = ArenaRecord::decode(save(arena));
+    ASSERT_EQ(r.live.size(), 3u);
+    ASSERT_NE(r.live[0].zspage, r.live[1].zspage);
+    {
+        ZsmallocArena back;
+        ASSERT_TRUE(load(back, r.encode()));
+    }
+    r.live[1].zspage = r.live[0].zspage;
+    r.live[2].zspage = 1;  // keep zspage 1 (or 2) occupied
+    ZsmallocArena back;
+    EXPECT_FALSE(load(back, r.encode()));
+}
+
+TEST(ZsmallocCkpt, RejectsASlotListedFreeTwice)
+{
+    ChurnedArena src(/*keep=*/false);
+    ArenaRecord r = ArenaRecord::decode(save(src.arena));
+    ASSERT_GE(r.free_slots.size(), 2u);
+    // Keep the count of listed slots: the second entry now repeats the
+    // first, so the slot it named turns live without a record.
+    r.free_slots[1] = r.free_slots[0];
+    ZsmallocArena back;
+    EXPECT_FALSE(load(back, r.encode()));
+}
+
+TEST(ZsmallocCkpt, RejectsZspageIdsPastTheClass)
+{
+    ChurnedArena src(/*keep=*/false);
+    ArenaRecord r = ArenaRecord::decode(save(src.arena));
+    r.live[0].zspage = 0xFFFFFFF0u;
+    ZsmallocArena back;
+    EXPECT_FALSE(load(back, r.encode()));
+}
+
+TEST(ZsmallocCkpt, RewrittenSizeCarriesItsOwnAccounting)
+{
+    // Under format v4 a slot's size, its class and the stored-byte
+    // total were separate fields that a file could set to disagree.
+    // Now the size is the one copy: rewriting it moves the slot's
+    // class and bytes with it, or the file is refused.
+    ZsmallocArena arena;
+    ZsHandle h = arena.store(400);
+    ArenaRecord r = ArenaRecord::decode(save(arena));
+    ASSERT_EQ(r.live.size(), 1u);
+    {
+        r.live[0].size = 401;
+        ZsmallocArena back;
+        ASSERT_TRUE(load(back, r.encode()));
+        back.check_invariants();
+        EXPECT_EQ(back.payload_size(h), 401u);
+        EXPECT_EQ(back.stored_bytes(), 401u);
+    }
+    {
+        // 400 B lives in the 416 B class (index 12), 100 B in the
+        // 128 B class (index 3). The 416 B class's candidate list
+        // still names zspage 0, which that class no longer has.
+        r.live[0].size = 100;
+        ZsmallocArena back;
+        EXPECT_FALSE(load(back, r.encode()));
+    }
+    {
+        // Move the candidate too: the slot now occupies zspage 0 of
+        // the 128 B class alone, and the accounting follows it.
+        r.candidates[3] = r.candidates[12];
+        r.candidates[12].clear();
+        ZsmallocArena back;
+        ASSERT_TRUE(load(back, r.encode()));
+        back.check_invariants();
+        EXPECT_EQ(back.stored_bytes(), 100u);
+        ZsmallocArena fresh;
+        fresh.store(100);
+        EXPECT_EQ(back.pool_bytes(), fresh.pool_bytes());
+        back.release(h);
+        EXPECT_EQ(back.pool_bytes(), 0u);
+    }
+}
 
 /**
  * The paper's Section 5.1 finding: one machine-global arena
