@@ -144,20 +144,12 @@ Serializer::put_rng(const Rng &rng)
 }
 
 void
-Serializer::put_age_histogram(const AgeHistogram &h)
+Serializer::put_age_histogram(const SparseAgeHistogram &h)
 {
-    std::uint32_t nonzero = 0;
-    for (std::size_t b = 0; b < kAgeBuckets; ++b) {
-        if (h.at(static_cast<AgeBucket>(b)) != 0)
-            ++nonzero;
-    }
-    put_u32(nonzero);
-    for (std::size_t b = 0; b < kAgeBuckets; ++b) {
-        std::uint64_t count = h.at(static_cast<AgeBucket>(b));
-        if (count == 0)
-            continue;
-        put_u8(static_cast<std::uint8_t>(b));
-        put_u64(count);
+    put_u32(static_cast<std::uint32_t>(h.num_bins()));
+    for (std::size_t i = 0; i < h.num_bins(); ++i) {
+        put_u8(h.bin_bucket(i));
+        put_u64(h.bin_count(i));
     }
 }
 
@@ -226,25 +218,39 @@ Deserializer::get_rng(Rng &rng)
 }
 
 void
-Deserializer::get_age_histogram(AgeHistogram &h)
+Deserializer::get_age_histogram(SparseAgeHistogram &h)
 {
     std::uint32_t nonzero = get_u32();
     if (nonzero > kAgeBuckets) {
         ok_ = false;
         return;
     }
-    AgeHistogram restored;
+    SparseAgeHistogram restored;
+    restored.reserve(nonzero);
     for (std::uint32_t i = 0; i < nonzero; ++i) {
         AgeBucket bucket = get_u8();
         std::uint64_t count = get_u64();
-        if (count == 0) {
+        if (count == 0 ||
+            count > SparseAgeHistogram::kMaxCount - restored.at(bucket)) {
             ok_ = false;
             return;
         }
         restored.add(bucket, count);
     }
     if (ok_)
-        h = restored;
+        h = std::move(restored);
+}
+
+void
+Deserializer::get_age_histogram(AgeHistogram &h)
+{
+    SparseAgeHistogram sparse;
+    get_age_histogram(sparse);
+    if (!ok_)
+        return;
+    h.clear();
+    for (std::size_t i = 0; i < sparse.num_bins(); ++i)
+        h.add(sparse.bin_bucket(i), sparse.bin_count(i));
 }
 
 std::size_t

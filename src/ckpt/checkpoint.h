@@ -141,8 +141,12 @@ class Serializer
     /** Full engine state of an Rng stream. */
     void put_rng(const Rng &rng);
 
-    /** Sparse (nonzero buckets only) age-histogram encoding. */
-    void put_age_histogram(const AgeHistogram &h);
+    /**
+     * Sparse age-histogram encoding: a u32 bin count, then a (u8
+     * bucket, u64 count) pair per non-zero bucket, ascending. A dense
+     * AgeHistogram converts implicitly.
+     */
+    void put_age_histogram(const SparseAgeHistogram &h);
 
     const ByteBuffer &bytes() const { return buf_; }
     ByteBuffer take() { return std::move(buf_); }
@@ -234,6 +238,14 @@ class Deserializer
 
     void get_rng(Rng &rng);
 
+    /**
+     * Decode put_age_histogram()'s record. Fails the stream on more
+     * than 256 bins, a zero count, or a bucket whose count passes
+     * SparseAgeHistogram::kMaxCount; a repeated bucket adds up.
+     */
+    void get_age_histogram(SparseAgeHistogram &h);
+
+    /** get_age_histogram() into the dense form. */
     void get_age_histogram(AgeHistogram &h);
 
     /**

@@ -147,6 +147,29 @@ Zswap::load(Memcg &cg, PageId p)
     // regenerable; only the compressed copy was damaged).
     bool poisoned = checksums_[handle] !=
                     entry_checksum(cg.content_seed_of(p), payload_size);
+    if (verify_roundtrip_ && !poisoned) {
+        const std::uint8_t *stored = arena_.payload(handle);
+        if (stored != nullptr) {
+            // Decompress the stored payload for real and verify the
+            // bytes match the page's regenerated contents: the full
+            // zswap path exercises the codec end to end. The checksum
+            // does not cover the kept bytes, so a payload that fails
+            // here is poisoned too.
+            std::uint8_t decompressed[kPageSize];
+            std::size_t n = szo_decompress(stored, payload_size,
+                                           decompressed,
+                                           sizeof(decompressed));
+            std::uint8_t expected[kPageSize];
+            generate_page_content(cg.page_content(p),
+                                  cg.content_seed_of(p), expected);
+            if (n == kPageSize &&
+                std::memcmp(decompressed, expected, kPageSize) == 0) {
+                ++stats_.verified_roundtrips;
+            } else {
+                poisoned = true;
+            }
+        }
+    }
     if (poisoned) {
         ++stats_.poisoned_entries;
         ++cg.stats().far_refaults;
@@ -157,26 +180,6 @@ Zswap::load(Memcg &cg, PageId p)
             kZswapRefaultLatencyUs * 2.6e3;
         if (m_poisoned_ != nullptr)
             m_poisoned_->inc();
-    }
-
-    if (verify_roundtrip_ && !poisoned) {
-        const std::uint8_t *stored = arena_.payload(handle);
-        if (stored != nullptr) {
-            // Decompress the stored payload for real and verify the
-            // bytes match the page's regenerated contents: the full
-            // zswap path exercises the codec end to end.
-            std::uint8_t decompressed[kPageSize];
-            std::size_t n = szo_decompress(stored, payload_size,
-                                           decompressed,
-                                           sizeof(decompressed));
-            SDFM_ASSERT(n == kPageSize);
-            std::uint8_t expected[kPageSize];
-            generate_page_content(cg.page_content(p),
-                                  cg.content_seed_of(p), expected);
-            SDFM_ASSERT(std::memcmp(decompressed, expected, kPageSize) ==
-                        0);
-            ++stats_.verified_roundtrips;
-        }
     }
 
     SDFM_ASSERT(cg.stats().compressed_bytes_stored >= payload_size);

@@ -32,7 +32,7 @@ struct ZswapStats
     std::uint64_t rejects = 0;
     std::uint64_t promotions = 0;
     std::uint64_t verified_roundtrips = 0;  ///< verify mode only
-    std::uint64_t poisoned_entries = 0;     ///< checksum-detected corruption
+    std::uint64_t poisoned_entries = 0;     ///< corrupt entries promoted
     std::uint64_t corruptions_injected = 0; ///< fault-plane injections
     double compress_cycles = 0.0;
     double decompress_cycles = 0.0;
@@ -98,6 +98,9 @@ class Zswap : public FarTier
      * on promotion (a corrupted payload) is not fatal: the entry is
      * counted as poisoned, the page re-faults from backing store at
      * kZswapRefaultLatencyUs, and the caller proceeds as if promoted.
+     * With verify_roundtrip on, a kept payload that does not
+     * decompress to the page's regenerated contents takes the same
+     * path.
      */
     void load(Memcg &cg, PageId p) override;
 

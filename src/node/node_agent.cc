@@ -141,7 +141,7 @@ NodeAgent::control(SimTime now, std::vector<Memcg *> &jobs,
         AgeBucket threshold = 0;
         switch (config_.policy) {
           case FarMemoryPolicy::kProactive: {
-            AgeHistogram delta = AgeHistogram::delta(
+            SparseAgeHistogram delta = SparseAgeHistogram::delta(
                 cg->promo_hist(), state.control_snapshot);
             state.control_snapshot = cg->promo_hist();
             threshold = state.controller.update(now, delta,
@@ -188,9 +188,9 @@ NodeAgent::export_telemetry(SimTime now, std::vector<Memcg *> &jobs,
         entry.job = cg->id();
         entry.timestamp = now;
         entry.wss_pages = cg->wss_pages();
-        entry.promo_delta =
-            AgeHistogram::delta(cg->promo_hist(), state.telemetry_snapshot);
-        entry.cold_hist = cg->cold_hist();
+        entry.promo_delta = SparseAgeHistogram::delta(
+            cg->promo_hist(), state.telemetry_snapshot);
+        entry.cold_hist = SparseAgeHistogram(cg->cold_hist());
 
         const MemcgStats &cur = cg->stats();
         const MemcgStats &prev = state.sli_snapshot;

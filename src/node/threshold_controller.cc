@@ -51,7 +51,7 @@ ThresholdController::pool_trim()
 }
 
 AgeBucket
-ThresholdController::best_threshold(const AgeHistogram &promo_delta,
+ThresholdController::best_threshold(const SparseAgeHistogram &promo_delta,
                                     std::uint64_t wss_pages,
                                     double target_rate,
                                     double period_minutes)
@@ -60,19 +60,25 @@ ThresholdController::best_threshold(const AgeHistogram &promo_delta,
     double budget = target_rate * static_cast<double>(wss_pages) *
                     period_minutes;
     // count_at_least(T) is non-increasing in T: find the smallest
-    // T >= 1 whose would-be promotions fit the budget. One suffix
-    // accumulation from the top replaces a count_at_least() scan per
-    // candidate threshold.
-    std::uint64_t at_least = 0;
-    AgeBucket smallest = 255;
-    for (std::size_t t = kAgeBuckets - 1; t >= 1; --t) {
-        at_least += promo_delta.at(static_cast<AgeBucket>(t));
-        if (static_cast<double>(at_least) <= budget)
-            smallest = static_cast<AgeBucket>(t);
-        else
-            break;  // even colder thresholds only promote more
+    // T >= 1 whose would-be promotions fit the budget, 255 if none
+    // does. It only changes at a non-zero bin, so walk the bins down
+    // from the top, summing the suffix: the first bin that breaks the
+    // budget puts the answer just above it.
+    auto fits = [budget](std::uint64_t promotions) {
+        return static_cast<double>(promotions) <= budget;
+    };
+    if (!fits(0))
+        return 255;
+    std::uint64_t at_least = 0;  // count_at_least(bucket + 1)
+    for (std::size_t i = promo_delta.num_bins(); i-- > 0;) {
+        const AgeBucket bucket = promo_delta.bin_bucket(i);
+        if (bucket == 0)
+            break;  // bucket 0 counts toward no threshold >= 1
+        at_least += promo_delta.bin_count(i);
+        if (!fits(at_least))
+            return bucket == 255 ? 255 : static_cast<AgeBucket>(bucket + 1);
     }
-    return smallest;
+    return 1;
 }
 
 AgeBucket
@@ -98,7 +104,8 @@ ThresholdController::pool_percentile() const
 }
 
 AgeBucket
-ThresholdController::update(SimTime now, const AgeHistogram &promo_delta,
+ThresholdController::update(SimTime now,
+                            const SparseAgeHistogram &promo_delta,
                             std::uint64_t wss_pages, double period_minutes)
 {
     AgeBucket best =

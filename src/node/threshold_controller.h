@@ -56,7 +56,7 @@ class ThresholdController
      * @return Threshold bucket for the next period; 0 means zswap
      *         disabled (still inside the S-second delay).
      */
-    AgeBucket update(SimTime now, const AgeHistogram &promo_delta,
+    AgeBucket update(SimTime now, const SparseAgeHistogram &promo_delta,
                      std::uint64_t wss_pages, double period_minutes = 1.0);
 
     /** The threshold chosen by the last update (0 = disabled). */
@@ -90,7 +90,7 @@ class ThresholdController
      * stay within the SLO budget for the period; 255 if none does.
      * Exposed for tests and the offline model.
      */
-    static AgeBucket best_threshold(const AgeHistogram &promo_delta,
+    static AgeBucket best_threshold(const SparseAgeHistogram &promo_delta,
                                     std::uint64_t wss_pages,
                                     double target_rate,
                                     double period_minutes);

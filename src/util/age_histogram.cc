@@ -61,25 +61,83 @@ AgeHistogram::count_below(AgeBucket bucket) const
     return sum;
 }
 
-AgeHistogram
-AgeHistogram::delta(const AgeHistogram &cur, const AgeHistogram &prev)
+SparseAgeHistogram::SparseAgeHistogram(const AgeHistogram &dense)
 {
-    AgeHistogram out;
+    // Pack into a stack buffer first, so the bins are one allocation
+    // of exactly their size.
+    std::array<std::uint64_t, kAgeBuckets> packed;
+    std::size_t n = 0;
     for (std::size_t b = 0; b < kAgeBuckets; ++b) {
-        std::uint64_t c = cur.counts_[b];
-        std::uint64_t p = prev.counts_[b];
-        SDFM_ASSERT(c >= p);
-        out.counts_[b] = c - p;
+        std::uint64_t count = dense.at(static_cast<AgeBucket>(b));
+        if (count == 0)
+            continue;
+        SDFM_ASSERT(count <= kMaxCount);
+        packed[n++] = pack(static_cast<AgeBucket>(b), count);
     }
+    bins_.assign(packed.begin(), packed.begin() + n);
+}
+
+SparseAgeHistogram
+SparseAgeHistogram::delta(const AgeHistogram &cur, const AgeHistogram &prev)
+{
+    std::array<std::uint64_t, kAgeBuckets> packed;
+    std::size_t n = 0;
+    for (std::size_t b = 0; b < kAgeBuckets; ++b) {
+        std::uint64_t c = cur.at(static_cast<AgeBucket>(b));
+        std::uint64_t p = prev.at(static_cast<AgeBucket>(b));
+        SDFM_ASSERT(c >= p);
+        if (c == p)
+            continue;
+        SDFM_ASSERT(c - p <= kMaxCount);
+        packed[n++] = pack(static_cast<AgeBucket>(b), c - p);
+    }
+    SparseAgeHistogram out;
+    out.bins_.assign(packed.begin(), packed.begin() + n);
     return out;
 }
 
-AgeHistogram &
-AgeHistogram::operator+=(const AgeHistogram &other)
+void
+SparseAgeHistogram::add(AgeBucket bucket, std::uint64_t count)
 {
-    for (std::size_t b = 0; b < kAgeBuckets; ++b)
-        counts_[b] += other.counts_[b];
-    return *this;
+    if (count == 0)
+        return;
+    auto it = std::lower_bound(bins_.begin(), bins_.end(), pack(bucket, 0));
+    if (it != bins_.end() && (*it >> kCountBits) == bucket) {
+        SDFM_ASSERT(count <= kMaxCount - (*it & kMaxCount));
+        *it += count;
+        return;
+    }
+    SDFM_ASSERT(count <= kMaxCount);
+    bins_.insert(it, pack(bucket, count));
+}
+
+std::uint64_t
+SparseAgeHistogram::at(AgeBucket bucket) const
+{
+    auto it = std::lower_bound(bins_.begin(), bins_.end(), pack(bucket, 0));
+    if (it == bins_.end() || (*it >> kCountBits) != bucket)
+        return 0;
+    return *it & kMaxCount;
+}
+
+std::uint64_t
+SparseAgeHistogram::total() const
+{
+    std::uint64_t sum = 0;
+    for (std::uint64_t bin : bins_)
+        sum += bin & kMaxCount;
+    return sum;
+}
+
+std::uint64_t
+SparseAgeHistogram::count_at_least(AgeBucket bucket) const
+{
+    // Every bin at or past the bucket's first packed word qualifies.
+    const std::uint64_t first = pack(bucket, 0);
+    std::uint64_t sum = 0;
+    for (auto it = bins_.rbegin(); it != bins_.rend() && *it >= first; ++it)
+        sum += *it & kMaxCount;
+    return sum;
 }
 
 }  // namespace sdfm

@@ -13,6 +13,16 @@ TraceLog::append(TraceEntry entry)
     entries_.push_back(std::move(entry));
 }
 
+std::size_t
+TraceLog::heap_bytes() const
+{
+    std::size_t bytes = entries_.capacity() * sizeof(TraceEntry);
+    for (const TraceEntry &entry : entries_)
+        bytes += entry.promo_delta.heap_bytes() +
+                 entry.cold_hist.heap_bytes();
+    return bytes;
+}
+
 std::vector<JobTrace>
 TraceLog::by_job() const
 {
@@ -37,19 +47,19 @@ TraceLog::by_job() const
 namespace {
 
 void
-save_histogram(std::ostream &os, char tag, const AgeHistogram &hist)
+save_histogram(std::ostream &os, char tag, const SparseAgeHistogram &hist)
 {
     os << tag;
-    for (std::size_t b = 0; b < kAgeBuckets; ++b) {
-        std::uint64_t count = hist.at(static_cast<AgeBucket>(b));
-        if (count != 0)
-            os << ' ' << b << ':' << count;
+    for (std::size_t i = 0; i < hist.num_bins(); ++i) {
+        os << ' ' << static_cast<unsigned>(hist.bin_bucket(i)) << ':'
+           << hist.bin_count(i);
     }
     os << '\n';
 }
 
 bool
-load_histogram(std::istream &is, char expected_tag, AgeHistogram *hist)
+load_histogram(std::istream &is, char expected_tag,
+               SparseAgeHistogram *hist)
 {
     std::string line;
     if (!std::getline(is, line) || line.empty() || line[0] != expected_tag)
@@ -64,7 +74,10 @@ load_histogram(std::istream &is, char expected_tag, AgeHistogram *hist)
         unsigned long long count = std::stoull(field.substr(colon + 1));
         if (bucket >= kAgeBuckets)
             return false;
-        hist->add(static_cast<AgeBucket>(bucket), count);
+        auto b = static_cast<AgeBucket>(bucket);
+        if (count > SparseAgeHistogram::kMaxCount - hist->at(b))
+            return false;
+        hist->add(b, count);
     }
     return true;
 }

@@ -50,15 +50,19 @@ struct JobSli
     bool operator==(const JobSli &other) const = default;
 };
 
-/** One job-window telemetry record. */
+/**
+ * One job-window telemetry record. The histograms are sparse: a window
+ * touches a few dozen of the 256 age buckets, so an entry costs its
+ * fixed fields plus 8 bytes per non-zero bucket.
+ */
 struct TraceEntry
 {
     JobId job = 0;
-    SimTime timestamp = 0;        ///< window end time
-    std::uint64_t wss_pages = 0;  ///< working set size at window end
-    AgeHistogram promo_delta;     ///< would-be promotions by age, window
-    AgeHistogram cold_hist;       ///< cold-age snapshot at window end
-    JobSli sli;                   ///< realized far-memory indicators
+    SimTime timestamp = 0;           ///< window end time
+    std::uint64_t wss_pages = 0;     ///< working set size at window end
+    SparseAgeHistogram promo_delta;  ///< would-be promotions by age
+    SparseAgeHistogram cold_hist;    ///< cold-age snapshot at window end
+    JobSli sli;                      ///< realized far-memory indicators
 
     bool operator==(const TraceEntry &other) const = default;
 };
@@ -80,6 +84,12 @@ class TraceLog
     std::size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
     const std::vector<TraceEntry> &entries() const { return entries_; }
+
+    /**
+     * Heap bytes the log holds: the entry array's allocation plus each
+     * entry's histogram bins.
+     */
+    std::size_t heap_bytes() const;
 
     /** Group records by job, each group time-ordered. */
     std::vector<JobTrace> by_job() const;

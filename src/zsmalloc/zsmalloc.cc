@@ -180,65 +180,84 @@ std::uint64_t
 ZsmallocArena::compact()
 {
     ++stats_.compactions;
-    std::uint64_t released = 0;
 
     // Per class: the minimum number of zspages that can hold the live
     // objects. Migrate objects out of the sparsest zspages until that
     // bound is met. We model migration by rewriting slot zspage ids.
-    for (std::uint16_t class_idx = 0; class_idx < classes_.size();
+    struct Plan
+    {
+        /** Occupied zspages, sparsest first; the first
+         *  evacuate_count are emptied, the rest receive in order. */
+        std::vector<std::uint32_t> by_occupancy;
+        std::size_t evacuate_count = 0;
+        std::size_t recv_pos = 0;
+        std::vector<bool> evacuate;  ///< by zspage id
+    };
+    std::vector<Plan> plans(classes_.size());
+    bool any = false;
+    for (std::size_t class_idx = 0; class_idx < classes_.size();
          ++class_idx) {
-        SizeClass &cls = classes_[class_idx];
+        const SizeClass &cls = classes_[class_idx];
         if (cls.live == 0)
             continue;
         std::uint64_t needed = (cls.live + cls.objects_per_zspage - 1) /
                                cls.objects_per_zspage;
-        // Count currently backed zspages.
-        std::vector<std::uint32_t> live_zspages;
+        Plan &plan = plans[class_idx];
         for (std::uint32_t id = 0; id < cls.zspage_occupancy.size(); ++id) {
             if (cls.zspage_occupancy[id] > 0)
-                live_zspages.push_back(id);
+                plan.by_occupancy.push_back(id);
         }
-        if (live_zspages.size() <= needed)
+        if (plan.by_occupancy.size() <= needed)
             continue;
-        // Sort by occupancy: evacuate the sparsest.
-        std::sort(live_zspages.begin(), live_zspages.end(),
+        std::sort(plan.by_occupancy.begin(), plan.by_occupancy.end(),
                   [&](std::uint32_t a, std::uint32_t b) {
                       return cls.zspage_occupancy[a] <
                              cls.zspage_occupancy[b];
                   });
-        std::size_t evacuate_count = live_zspages.size() - needed;
-        std::vector<bool> evacuate(cls.zspage_occupancy.size(), false);
-        for (std::size_t i = 0; i < evacuate_count; ++i)
-            evacuate[live_zspages[i]] = true;
+        plan.evacuate_count = plan.by_occupancy.size() - needed;
+        plan.recv_pos = plan.evacuate_count;
+        plan.evacuate.assign(cls.zspage_occupancy.size(), false);
+        for (std::size_t i = 0; i < plan.evacuate_count; ++i)
+            plan.evacuate[plan.by_occupancy[i]] = true;
+        any = true;
+    }
+    if (!any)
+        return 0;
 
-        // Receivers: the remaining (densest) zspages, filled in order.
-        std::vector<std::uint32_t> receivers(
-            live_zspages.begin() +
-                static_cast<std::ptrdiff_t>(evacuate_count),
-            live_zspages.end());
-        std::size_t recv_pos = 0;
-
-        for (Slot &slot : slots_) {
-            if (slot.size == 0 || class_for_size(slot.size) != class_idx ||
-                !evacuate[slot.zspage]) {
-                continue;
-            }
-            while (recv_pos < receivers.size() &&
-                   cls.zspage_occupancy[receivers[recv_pos]] >=
-                       cls.objects_per_zspage) {
-                ++recv_pos;
-            }
-            SDFM_ASSERT(recv_pos < receivers.size());
-            std::uint32_t dst = receivers[recv_pos];
-            --cls.zspage_occupancy[slot.zspage];
-            ++cls.zspage_occupancy[dst];
-            slot.zspage = dst;
-            stats_.compaction_moved_bytes += slot.size;
+    // One walk over the slots moves every class's evacuees: within a
+    // class, in ascending slot order, onto the kept zspages sparsest
+    // first -- the order a walk per class would give.
+    for (Slot &slot : slots_) {
+        if (slot.size == 0)
+            continue;
+        const std::uint16_t class_idx = class_for_size(slot.size);
+        Plan &plan = plans[class_idx];
+        if (plan.evacuate_count == 0 || !plan.evacuate[slot.zspage])
+            continue;
+        SizeClass &cls = classes_[class_idx];
+        while (plan.recv_pos < plan.by_occupancy.size() &&
+               cls.zspage_occupancy[plan.by_occupancy[plan.recv_pos]] >=
+                   cls.objects_per_zspage) {
+            ++plan.recv_pos;
         }
+        SDFM_ASSERT(plan.recv_pos < plan.by_occupancy.size());
+        std::uint32_t dst = plan.by_occupancy[plan.recv_pos];
+        --cls.zspage_occupancy[slot.zspage];
+        ++cls.zspage_occupancy[dst];
+        slot.zspage = dst;
+        stats_.compaction_moved_bytes += slot.size;
+    }
 
+    std::uint64_t released = 0;
+    for (std::size_t class_idx = 0; class_idx < classes_.size();
+         ++class_idx) {
+        const Plan &plan = plans[class_idx];
+        if (plan.evacuate_count == 0)
+            continue;
+        SizeClass &cls = classes_[class_idx];
         // Release evacuated zspages.
-        for (std::size_t i = 0; i < evacuate_count; ++i) {
-            std::uint32_t id = live_zspages[i];
+        for (std::size_t i = 0; i < plan.evacuate_count; ++i) {
+            std::uint32_t id = plan.by_occupancy[i];
             SDFM_ASSERT(cls.zspage_occupancy[id] == 0);
             cls.free_zspage_slots.push_back(id);
             std::uint64_t bytes =

@@ -1143,7 +1143,31 @@ struct MutationCounts
 {
     int accepted = 0;
     int rejected = 0;
+    /** Entries found poisoned when promoting accepted loads. */
+    std::uint64_t poisoned = 0;
 };
+
+/**
+ * Promote every zswap page of a restored machine, as an application
+ * read would: each entry either verifies or is counted poisoned.
+ * @return The entries counted poisoned.
+ */
+std::uint64_t
+promote_every_zswap_page(Machine &machine)
+{
+    Zswap &zswap = machine.zswap();
+    const std::uint64_t before = zswap.stats().poisoned_entries;
+    for (const auto &job : machine.jobs()) {
+        Memcg &cg = job->memcg();
+        for (PageId p : cg.zswap_page_ids())
+            cg.touch(p, /*is_write=*/false, machine.tiers());
+        EXPECT_EQ(cg.zswap_pages(), 0u);
+        cg.check_invariants();
+    }
+    EXPECT_EQ(zswap.arena().live_objects(), 0u);
+    zswap.check_invariants();
+    return zswap.stats().poisoned_entries - before;
+}
 
 /**
  * Release every live handle of a restored machine, then store pages
@@ -1194,7 +1218,9 @@ release_and_store_again(Machine &machine)
  * each Memcg's handle list -- each loaded into a fresh machine. A load
  * either fails or restores a machine that passes check_invariants()
  * (which Machine::ckpt_load runs) and survives releasing every handle
- * and storing again.
+ * and storing again. A machine that verifies round trips first
+ * promotes every zswap page, so each kept payload is decompressed and
+ * compared: a damaged one must count as poisoned, not crash.
  */
 void
 mutation_sweep(const MachineConfig &config, int mutations,
@@ -1262,6 +1288,8 @@ mutation_sweep(const MachineConfig &config, int mutations,
             continue;
         }
         ++counts[kind].accepted;
+        if (config.verify_zswap_roundtrip)
+            counts[kind].poisoned += promote_every_zswap_page(victim);
         release_and_store_again(victim);
         if (::testing::Test::HasFatalFailure()) {
             ADD_FAILURE() << "mutation " << i << " of record " << pick
@@ -1288,7 +1316,10 @@ TEST(CkptMutation, ZswapRecordsRestoreCoherentlyOrAreRejected)
             std::cout << (keep ? "kept payloads" : "modelled") << ' '
                       << names[k] << ": " << counts[k].accepted
                       << " accepted, " << counts[k].rejected
-                      << " rejected\n";
+                      << " rejected";
+            if (keep)
+                std::cout << ", " << counts[k].poisoned << " poisoned";
+            std::cout << '\n';
             EXPECT_EQ(counts[k].accepted + counts[k].rejected, 100);
         }
         // A corrupt handle list is always caught, and so is most of a
@@ -1297,6 +1328,13 @@ TEST(CkptMutation, ZswapRecordsRestoreCoherentlyOrAreRejected)
         // a valid, if poisoned, entry.
         if (!keep) {
             EXPECT_GT(counts[0].rejected, 50);
+        } else {
+            // Most accepted arena mutants changed a kept payload byte,
+            // which the promotion found; a changed checksum poisons
+            // its entry.
+            EXPECT_GT(counts[0].poisoned, 0u);
+            EXPECT_GE(counts[1].poisoned,
+                      static_cast<std::uint64_t>(counts[1].accepted) / 2);
         }
         EXPECT_EQ(counts[1].rejected, 0);
         EXPECT_EQ(counts[2].rejected, 100);

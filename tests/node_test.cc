@@ -10,6 +10,7 @@
 #include "node/machine.h"
 #include "node/node_agent.h"
 #include "node/threshold_controller.h"
+#include "util/rng.h"
 #include "workload/job.h"
 
 namespace sdfm {
@@ -65,6 +66,92 @@ TEST(BestThreshold, PaperWorkedExample)
     promo.add(age_to_bucket(10 * 60), 1);  // B
     EXPECT_EQ(promo.count_at_least(age_to_bucket(8 * 60)), 1u);
     EXPECT_EQ(promo.count_at_least(age_to_bucket(2 * 60)), 2u);
+}
+
+/**
+ * The dense search best_threshold() replaced: walk every threshold
+ * from 255 down, accumulating count_at_least, and stop at the first
+ * one over budget.
+ */
+AgeBucket
+dense_best_threshold(const AgeHistogram &promo, std::uint64_t wss_pages,
+                     double target_rate, double period_minutes)
+{
+    double budget =
+        target_rate * static_cast<double>(wss_pages) * period_minutes;
+    std::uint64_t at_least = 0;
+    AgeBucket smallest = 255;
+    for (std::size_t t = kAgeBuckets - 1; t >= 1; --t) {
+        at_least += promo.at(static_cast<AgeBucket>(t));
+        if (static_cast<double>(at_least) <= budget)
+            smallest = static_cast<AgeBucket>(t);
+        else
+            break;
+    }
+    return smallest;
+}
+
+TEST(BestThreshold, SparseSearchMatchesDenseReference)
+{
+    auto expect_same = [](const AgeHistogram &promo, std::uint64_t wss,
+                          double rate, const char *what) {
+        EXPECT_EQ(ThresholdController::best_threshold(
+                      SparseAgeHistogram(promo), wss, rate, 1.0),
+                  dense_best_threshold(promo, wss, rate, 1.0))
+            << what << ", wss " << wss << ", rate " << rate;
+    };
+    for (std::uint64_t wss : {0ull, 1ull, 1000ull, 100000ull}) {
+        for (double rate : {0.0, 0.002, 1.0}) {
+            AgeHistogram empty;
+            expect_same(empty, wss, rate, "all zero");
+            AgeHistogram zero_only;
+            zero_only.add(0, 500);
+            expect_same(zero_only, wss, rate, "bucket 0 only");
+            AgeHistogram top_only;
+            top_only.add(255, 3);
+            expect_same(top_only, wss, rate, "bucket 255 only");
+        }
+    }
+
+    // A budget exactly equal to each suffix sum, and one page either
+    // side of it (a rate of 1 per minute makes the budget the WSS).
+    AgeHistogram promo;
+    promo.add(0, 9);
+    promo.add(2, 4);
+    promo.add(17, 3);
+    promo.add(200, 2);
+    promo.add(255, 1);
+    for (std::uint64_t budget = 0; budget <= 12; ++budget) {
+        expect_same(promo, budget, 1.0, "suffix-sum budget");
+        // Suffix sums: T in [201, 255] -> 1, [18, 200] -> 3,
+        // [3, 17] -> 6, [1, 2] -> 10.
+        const AgeBucket want = budget >= 10  ? 1
+                               : budget >= 6 ? 3
+                               : budget >= 3 ? 18
+                               : budget >= 1 ? 201
+                                             : 255;
+        EXPECT_EQ(ThresholdController::best_threshold(promo, budget, 1.0,
+                                                      1.0),
+                  want)
+            << budget;
+    }
+
+    Rng rng(90917);
+    for (int round = 0; round < 500; ++round) {
+        AgeHistogram h;
+        const std::uint64_t bins = rng.next_below(30);
+        for (std::uint64_t i = 0; i < bins; ++i) {
+            h.add(static_cast<AgeBucket>(rng.next_below(256)),
+                  1 + rng.next_below(rng.next_bool(0.5) ? 10 : 5000));
+        }
+        const std::uint64_t wss = rng.next_below(200000);
+        const double rate = 0.0005 * static_cast<double>(rng.next_below(9));
+        const double minutes = 1.0 + static_cast<double>(rng.next_below(5));
+        ASSERT_EQ(ThresholdController::best_threshold(
+                      SparseAgeHistogram(h), wss, rate, minutes),
+                  dense_best_threshold(h, wss, rate, minutes))
+            << "round " << round;
+    }
 }
 
 TEST(ThresholdControllerTest, DisabledDuringEnableDelay)

@@ -293,21 +293,69 @@ TEST(AgeHistogramTest, DeltaOfSnapshots)
     prev.add(3, 2);
     cur.add(3, 5);
     cur.add(7, 1);
-    AgeHistogram d = AgeHistogram::delta(cur, prev);
+    cur.add(9, 4);
+    prev.add(9, 4);  // unchanged buckets leave no bin
+    SparseAgeHistogram d = SparseAgeHistogram::delta(cur, prev);
     EXPECT_EQ(d.at(3), 3u);
     EXPECT_EQ(d.at(7), 1u);
+    EXPECT_EQ(d.at(9), 0u);
     EXPECT_EQ(d.total(), 4u);
+    EXPECT_EQ(d.num_bins(), 2u);
 }
 
-TEST(AgeHistogramTest, Accumulate)
+/**
+ * Property: the sparse form answers every query the dense one does,
+ * for every bucket, whether it is compacted from a dense histogram or
+ * built by adds in any order.
+ */
+TEST(SparseAgeHistogramTest, MatchesDenseOnEveryBucket)
 {
-    AgeHistogram a, b;
-    a.add(1, 1);
-    b.add(1, 2);
-    b.add(2, 3);
-    a += b;
-    EXPECT_EQ(a.at(1), 3u);
-    EXPECT_EQ(a.at(2), 3u);
+    Rng rng(2024);
+    for (int round = 0; round < 200; ++round) {
+        AgeHistogram dense;
+        SparseAgeHistogram added;
+        const std::uint64_t adds = rng.next_below(40);
+        for (std::uint64_t i = 0; i < adds; ++i) {
+            // Bias towards the edges, where the bin walks turn.
+            AgeBucket b = static_cast<AgeBucket>(
+                rng.next_bool(0.2) ? (rng.next_bool(0.5) ? 0 : 255)
+                                   : rng.next_below(256));
+            std::uint64_t count = rng.next_below(1000);
+            dense.add(b, count);
+            added.add(b, count);
+        }
+        const SparseAgeHistogram sparse(dense);
+        EXPECT_EQ(sparse, added);
+        EXPECT_EQ(sparse.total(), dense.total());
+        std::size_t nonzero = 0;
+        for (std::size_t b = 0; b < kAgeBuckets; ++b) {
+            const auto bucket = static_cast<AgeBucket>(b);
+            ASSERT_EQ(sparse.at(bucket), dense.at(bucket)) << b;
+            ASSERT_EQ(sparse.count_at_least(bucket),
+                      dense.count_at_least(bucket))
+                << b;
+            if (dense.at(bucket) != 0)
+                ++nonzero;
+        }
+        ASSERT_EQ(sparse.num_bins(), nonzero);
+        for (std::size_t i = 1; i < sparse.num_bins(); ++i)
+            ASSERT_LT(sparse.bin_bucket(i - 1), sparse.bin_bucket(i));
+        EXPECT_EQ(sparse.heap_bytes(), nonzero * sizeof(std::uint64_t));
+    }
+}
+
+TEST(SparseAgeHistogramTest, CountsUpToTheLimitStayInTheirBucket)
+{
+    SparseAgeHistogram h;
+    h.add(7, SparseAgeHistogram::kMaxCount - 1);
+    h.add(7, 1);
+    h.add(8, 0);  // a zero add leaves no bin
+    EXPECT_EQ(h.num_bins(), 1u);
+    EXPECT_EQ(h.at(7), SparseAgeHistogram::kMaxCount);
+    EXPECT_EQ(h.at(6), 0u);
+    EXPECT_EQ(h.at(8), 0u);
+    EXPECT_EQ(h.count_at_least(8), 0u);
+    EXPECT_EQ(h.count_at_least(0), SparseAgeHistogram::kMaxCount);
 }
 
 // -------------------------------------------------------------- linalg

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "compression/compressor.h"
 #include "mem/zswap.h"
@@ -348,6 +350,143 @@ TEST_P(TraceRoundTrip, Randomized)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceRoundTrip,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+/** A trace record with dense histograms, as the log used to hold. */
+struct DenseRecord
+{
+    TraceEntry header;  ///< job, timestamp, WSS and SLIs only
+    AgeHistogram promo;
+    AgeHistogram cold;
+};
+
+/** Text writer for dense histograms: a 256-bucket walk per line. */
+void
+write_dense_text(std::ostream &os, const DenseRecord &r)
+{
+    os.precision(17);
+    const TraceEntry &e = r.header;
+    os << "E " << e.job << ' ' << e.timestamp << ' ' << e.wss_pages
+       << '\n';
+    for (const auto &[tag, hist] :
+         {std::pair<char, const AgeHistogram *>{'P', &r.promo},
+          std::pair<char, const AgeHistogram *>{'C', &r.cold}}) {
+        os << tag;
+        for (std::size_t b = 0; b < kAgeBuckets; ++b) {
+            std::uint64_t count = hist->at(static_cast<AgeBucket>(b));
+            if (count != 0)
+                os << ' ' << b << ':' << count;
+        }
+        os << '\n';
+    }
+    const JobSli &s = e.sli;
+    os << "S " << s.zswap_promotions_delta << ' ' << s.zswap_stores_delta
+       << ' ' << s.zswap_rejects_delta << ' ' << s.zswap_pages << ' '
+       << s.resident_pages << ' ' << s.cold_pages_min << ' '
+       << s.compressed_bytes << ' ' << s.compress_cycles_delta << ' '
+       << s.decompress_cycles_delta << ' ' << s.app_cycles_delta << ' '
+       << s.decompress_latency_us_delta << '\n';
+}
+
+/** Binary writer for dense histograms: count the non-zero buckets,
+ *  then write a (u8, u64) pair per non-zero bucket. */
+void
+write_dense_binary(Serializer &s, const DenseRecord &r)
+{
+    const TraceEntry &e = r.header;
+    s.put_u64(e.job);
+    s.put_i64(e.timestamp);
+    s.put_u64(e.wss_pages);
+    for (const AgeHistogram *hist : {&r.promo, &r.cold}) {
+        std::uint32_t nonzero = 0;
+        for (std::size_t b = 0; b < kAgeBuckets; ++b)
+            if (hist->at(static_cast<AgeBucket>(b)) != 0)
+                ++nonzero;
+        s.put_u32(nonzero);
+        for (std::size_t b = 0; b < kAgeBuckets; ++b) {
+            std::uint64_t count = hist->at(static_cast<AgeBucket>(b));
+            if (count == 0)
+                continue;
+            s.put_u8(static_cast<std::uint8_t>(b));
+            s.put_u64(count);
+        }
+    }
+    s.put_u64(e.sli.zswap_promotions_delta);
+    s.put_u64(e.sli.zswap_stores_delta);
+    s.put_u64(e.sli.zswap_rejects_delta);
+    s.put_u64(e.sli.zswap_pages);
+    s.put_u64(e.sli.resident_pages);
+    s.put_u64(e.sli.cold_pages_min);
+    s.put_u64(e.sli.compressed_bytes);
+    s.put_double(e.sli.compress_cycles_delta);
+    s.put_double(e.sli.decompress_cycles_delta);
+    s.put_double(e.sli.app_cycles_delta);
+    s.put_double(e.sli.decompress_latency_us_delta);
+}
+
+/**
+ * Records written from dense histograms, in both codecs, decode to
+ * the sparse entries of the same histograms and re-encode to the same
+ * bytes: the sparse log reads and writes the format the dense one did.
+ */
+TEST(TraceTest, DenseWrittenRecordsDecodeSparseAndReencodeIdentically)
+{
+    Rng rng(17);
+    std::vector<DenseRecord> records;
+    for (int i = 0; i < 40; ++i) {
+        DenseRecord r;
+        r.header = make_entry(static_cast<JobId>(1 + i % 7),
+                              300 * (1 + i / 7));
+        r.header.promo_delta = SparseAgeHistogram();
+        r.header.cold_hist = SparseAgeHistogram();
+        r.header.sli.app_cycles_delta = rng.next_double() * 1e11;
+        // Window shapes from empty to all 256 buckets, edges included.
+        const std::uint64_t fill =
+            i == 0 ? 0 : i == 1 ? 256 : 1 + rng.next_below(40);
+        for (std::uint64_t k = 0; k < fill; ++k) {
+            auto b = static_cast<AgeBucket>(
+                fill == 256 ? k : rng.next_below(256));
+            r.promo.add(b, 1 + rng.next_below(1000));
+            r.cold.add(static_cast<AgeBucket>(255 - b),
+                       1 + rng.next_below(1u << 20));
+        }
+        records.push_back(r);
+    }
+
+    TraceLog expected;
+    std::ostringstream text;
+    Serializer binary;
+    binary.put_u64(records.size());
+    for (const DenseRecord &r : records) {
+        TraceEntry e = r.header;
+        e.promo_delta = SparseAgeHistogram(r.promo);
+        e.cold_hist = SparseAgeHistogram(r.cold);
+        expected.append(e);
+        write_dense_text(text, r);
+        write_dense_binary(binary, r);
+    }
+
+    TraceLog from_text;
+    std::istringstream text_in(text.str());
+    ASSERT_TRUE(from_text.load(text_in));
+    TraceLog from_binary;
+    Deserializer d(binary.bytes());
+    ASSERT_TRUE(from_binary.ckpt_load(d));
+    ASSERT_TRUE(d.at_end());
+    ASSERT_EQ(from_text.size(), records.size());
+    ASSERT_EQ(from_binary.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(from_binary.entries()[i], expected.entries()[i]) << i;
+        // Text keeps 17 significant digits, which round-trip a double.
+        EXPECT_EQ(from_text.entries()[i], expected.entries()[i]) << i;
+    }
+
+    std::ostringstream text_again;
+    from_text.save(text_again);
+    EXPECT_EQ(text_again.str(), text.str());
+    Serializer binary_again;
+    from_binary.ckpt_save(binary_again);
+    EXPECT_EQ(binary_again.bytes(), binary.bytes());
+}
 
 }  // namespace
 }  // namespace sdfm

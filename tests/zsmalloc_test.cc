@@ -529,6 +529,125 @@ TEST(ZsmallocCkpt, RewrittenSizeCarriesItsOwnAccounting)
     }
 }
 
+// ---------------------------------------------------------------------
+// Compaction
+// ---------------------------------------------------------------------
+
+/** FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(const ByteBuffer &bytes)
+{
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+/**
+ * Objects per zspage of size class @p c: the arena picks 1-4 pages per
+ * zspage to minimise tail waste per page, preferring fewer pages.
+ */
+std::uint32_t
+objects_per_zspage(std::size_t c)
+{
+    const auto size = static_cast<std::uint32_t>((c + 1) * 32);
+    std::uint32_t best = 1;
+    std::uint32_t best_waste = kPageSize % size;
+    for (std::uint32_t p = 2; p <= 4; ++p) {
+        std::uint32_t waste = (p * kPageSize) % size;
+        if (waste * best < best_waste * p) {
+            best = p;
+            best_waste = waste;
+        }
+    }
+    return best * kPageSize / size;
+}
+
+/** Objects per occupied zspage, per class, from a saved record. */
+std::vector<std::map<std::uint32_t, std::uint32_t>>
+occupancy_of(const ArenaRecord &r)
+{
+    std::vector<std::map<std::uint32_t, std::uint32_t>> occ(
+        kArenaRecordClasses);
+    for (const ArenaRecord::Live &slot : r.live)
+        ++occ[ArenaRecord::class_of(slot.size)][slot.zspage];
+    return occ;
+}
+
+TEST(ZsmallocCompact, PinnedBytesAndSparsestZspagesEmptied)
+{
+    // Stores across every size class, releases that leave most
+    // zspages partly empty, an earlier compaction and more churn
+    // after it.
+    ZsmallocArena arena;
+    Rng rng(31);
+    std::vector<ZsHandle> live;
+    auto churn = [&](int stores, std::uint64_t release_one_in) {
+        for (int i = 0; i < stores; ++i) {
+            live.push_back(arena.store(
+                static_cast<std::uint32_t>(1 + rng.next_below(4096))));
+        }
+        for (std::size_t i = 0; i < live.size();) {
+            if (rng.next_below(release_one_in) == 0) {
+                arena.release(live[i]);
+                live[i] = live.back();
+                live.pop_back();
+            } else {
+                ++i;
+            }
+        }
+    };
+    churn(6000, 2);
+    arena.compact();
+    churn(3000, 3);
+
+    const ArenaRecord before = ArenaRecord::decode(save(arena));
+    const std::uint64_t pool_before = arena.pool_bytes();
+    const std::uint64_t released = arena.compact();
+    arena.check_invariants();
+    const ByteBuffer bytes = save(arena);
+    const ArenaRecord after = ArenaRecord::decode(bytes);
+
+    // The record the per-class compaction loop wrote: slot order,
+    // receiver order, free-list push order and candidate lists.
+    EXPECT_EQ(bytes.size(), 38191u);
+    EXPECT_EQ(fnv1a(bytes), 0x68f46da52ee900ecULL);
+    EXPECT_EQ(released, 2363392u);
+    EXPECT_EQ(pool_before - arena.pool_bytes(), released);
+
+    const auto occ_before = occupancy_of(before);
+    const auto occ_after = occupancy_of(after);
+    std::size_t classes_compacted = 0;
+    for (std::size_t c = 0; c < kArenaRecordClasses; ++c) {
+        std::uint64_t live_objects = 0;
+        for (const auto &[zspage, n] : occ_before[c])
+            live_objects += n;
+        const std::uint32_t per_zspage = objects_per_zspage(c);
+        const std::uint64_t needed =
+            (live_objects + per_zspage - 1) / per_zspage;
+        ASSERT_EQ(occ_after[c].size(), needed) << "class " << c;
+        if (occ_before[c].size() == needed)
+            continue;
+        ++classes_compacted;
+        // Every emptied zspage was at most as full as every kept one.
+        std::uint32_t fullest_emptied = 0;
+        std::uint32_t sparsest_kept = UINT32_MAX;
+        for (const auto &[zspage, n] : occ_before[c]) {
+            if (occ_after[c].count(zspage) != 0)
+                sparsest_kept = std::min(sparsest_kept, n);
+            else
+                fullest_emptied = std::max(fullest_emptied, n);
+        }
+        EXPECT_LE(fullest_emptied, sparsest_kept) << "class " << c;
+        // Objects only move onto zspages that were already occupied.
+        for (const auto &[zspage, n] : occ_after[c])
+            EXPECT_EQ(occ_before[c].count(zspage), 1u) << "class " << c;
+    }
+    EXPECT_GT(classes_compacted, kArenaRecordClasses / 2);
+}
+
 /**
  * The paper's Section 5.1 finding: one machine-global arena
  * fragments far less than per-memcg arenas under many small jobs.
